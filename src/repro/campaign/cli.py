@@ -81,16 +81,14 @@ def _cmd_run(args) -> int:
           f"(campaign total {total} units) in {s['elapsed_s']:.2f}s")
     eng = s["engine"]
     print(f"  engine: {eng['runs']} runs, {eng['timing_hits']} timing hits, "
-          f"{eng['rescales']} rescales, {eng['reexecutions']} re-executions; "
+          f"{eng['reexecutions']} re-executions; "
           f"template cache {eng['templates_hits']}h/{eng['templates_misses']}m/"
           f"{eng['templates_evictions']}e, "
           f"stage-cost cache {eng['stage_costs_hits']}h/"
           f"{eng['stage_costs_misses']}m/{eng['stage_costs_evictions']}e")
-    if eng.get("native_evals") or eng.get("delta_retimes") \
-            or eng.get("batched_points"):
+    if eng.get("native_evals") or eng.get("batched_points"):
         print(f"  batched: {eng.get('batched_points', 0)} batched points, "
-              f"{eng.get('native_evals', 0)} native evals, "
-              f"{eng.get('delta_retimes', 0)} delta re-times")
+              f"{eng.get('native_evals', 0)} native evals")
     phases = _phase_seconds(eng)
     if any(phases.values()):
         print("  phases: " + ", ".join(

@@ -28,9 +28,9 @@ from repro.campaign.spec import CampaignSpec, CampaignValidationError, UnitSpec
 from repro.campaign.units import UnitContext, get_unit_kind
 
 #: Scalar sweep-engine counters surfaced per unit record.
-_ENGINE_COUNTERS = ("runs", "timing_hits", "rescales", "reexecutions",
-                    "native_evals", "delta_retimes", "batched_points",
-                    "mc_batched_replicates", "mc_faulty_batched")
+_ENGINE_COUNTERS = ("runs", "timing_hits", "reexecutions", "native_evals",
+                    "batched_points", "mc_batched_replicates",
+                    "mc_faulty_batched")
 #: BoundedCache counters surfaced per unit record, per cache.
 _CACHE_COUNTERS = ("hits", "misses", "evictions")
 _CACHES = ("templates", "stage_costs")

@@ -437,8 +437,26 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _content_length(self) -> int:
+        """The request's ``Content-Length``, 0 when absent.
+
+        A non-integer or negative value answers 400 and closes the
+        connection: the body's extent is unknown, so keep-alive cannot
+        resync (and ``rfile.read(-1)`` would block until the client
+        hangs up).
+        """
+        text = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(text)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ServiceError(400, f"invalid Content-Length: {text!r}")
+        return length
+
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ServiceError(400, "request body must be JSON")
@@ -456,7 +474,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _reject_unauthorized(self) -> None:
         # Drain the unread body so HTTP/1.1 keep-alive stays in sync.
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = self._content_length()
+        except ServiceError as exc:
+            self._reply(exc.status, {"error": exc.message,
+                                     "status": exc.status})
+            return
         if length:
             self.rfile.read(length)
         self.service.metrics.auth_reject()

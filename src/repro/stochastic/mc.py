@@ -295,7 +295,7 @@ def monte_carlo(run, model: StochasticModel, seeds, engine=None,
     seeds = tuple(seeds)
     if jobs is not None and jobs > 1 and len(seeds) > 1:
         replicates = _monte_carlo_pool(point, nominal, model, seeds,
-                                       jobs, batch)
+                                       jobs, batch, engine)
     elif batch:
         replicates = replicate_batch(point, nominal, model, seeds,
                                      engine=engine)
@@ -306,12 +306,20 @@ def monte_carlo(run, model: StochasticModel, seeds, engine=None,
                             replicates=replicates)
 
 
+#: Engine counters :func:`replicate_batch` credits, folded back from
+#: pool workers.
+_MC_COUNTERS = ("native_evals", "batched_points", "mc_batched_replicates",
+                "mc_faulty_batched")
+
+
 def _mc_worker(template, base_durs, pf_durs, qdurs, model, seeds,
-               nominal_span, nominal_pf_span, batch) -> list[dict]:
+               nominal_span, nominal_pf_span, batch) -> tuple:
     """Replicate one contiguous seed block in a worker process.
 
     Module-level so the pool can pickle it by reference; the nominal
-    evaluation travels as its two consumed scalars.
+    evaluation travels as its two consumed scalars.  Returns
+    ``(records, counts)`` with the :data:`_MC_COUNTERS` the block
+    earned, for the caller's engine.
     """
     from types import SimpleNamespace
 
@@ -322,13 +330,18 @@ def _mc_worker(template, base_durs, pf_durs, qdurs, model, seeds,
     nominal = SimpleNamespace(
         base=SimpleNamespace(makespan=nominal_span),
         pf=SimpleNamespace(makespan=nominal_pf_span))
+    counts = SimpleNamespace(**dict.fromkeys(_MC_COUNTERS, 0))
     if batch:
-        return replicate_batch(point, nominal, model, seeds)
-    return [replicate_from_point(point, nominal, model, s) for s in seeds]
+        records = replicate_batch(point, nominal, model, seeds,
+                                  engine=counts)
+    else:
+        records = [replicate_from_point(point, nominal, model, s)
+                   for s in seeds]
+    return records, vars(counts)
 
 
 def _monte_carlo_pool(point, nominal, model: StochasticModel, seeds,
-                      jobs: int, batch: bool) -> list[dict]:
+                      jobs: int, batch: bool, engine) -> list[dict]:
     from concurrent.futures import ProcessPoolExecutor
 
     from repro.sweep.pool import picklable_template
@@ -345,5 +358,8 @@ def _monte_carlo_pool(point, nominal, model: StochasticModel, seeds,
             for block in blocks
         ]
         for fut in futures:
-            replicates.extend(fut.result())
+            records, counts = fut.result()
+            replicates.extend(records)
+            for name, n in counts.items():
+                setattr(engine, name, getattr(engine, name) + n)
     return replicates

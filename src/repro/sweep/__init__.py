@@ -4,7 +4,7 @@ The experiment drivers (fig5/6/9-16 grids, table 2, the interleaved
 sweep, the capacity planner) and user-defined searches all funnel
 through one :class:`SweepEngine`: structural configurations are
 canonicalized into schedule templates built once, points sharing a
-template are re-timed (exact rescale or compiled re-execution), and
+template are re-timed (native core or compiled python reference), and
 stage-cost models are shared between the simulator and the analytic
 §3.3 paths — with every result bit-identical to the per-point
 :class:`~repro.pipefisher.runner.PipeFisherRun` reference.
@@ -20,7 +20,7 @@ Quick use::
                       b_micro=b, depth=16, n_micro=16)
         for b in (4, 8, 16, 32)
     )
-    engine.stats()  # cache hit/miss + rescale/re-execution counters
+    engine.stats()  # cache hit/miss + re-execution counters
 
 Engine/template names are provided lazily (PEP 562): the pipeline
 runner imports :mod:`repro.sweep.cache` while the engine imports the

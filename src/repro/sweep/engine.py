@@ -11,8 +11,8 @@ keeps three bounded caches:
   path (``perf_model()``);
 * **schedule templates** — compiled task-graph + K-FAC-inventory
   structure per :class:`~repro.sweep.template.TemplateKey`;
-* **per-template timings** — evaluated duration tables, so repeated or
-  exactly-rescalable points skip the simulation entirely.
+* **per-template timings** — evaluated duration tables, so repeated
+  points skip the simulation entirely.
 
 ``run()`` produces a :class:`~repro.pipefisher.runner.PipeFisherReport`
 **bit-identical** to ``PipeFisherRun.execute()`` for the same
@@ -20,13 +20,19 @@ configuration (asserted by ``tests/sweep/test_engine_equivalence.py``
 and re-checked against goldens in ``tests/experiments/``): the compiled
 re-timing replays the executor's and bubble filler's float operations in
 the reference order, and utilizations are folded with the reference's
-exact summation order.  The only approximate thing about the engine is
-*nothing* — points that cannot be exactly rescaled are re-executed.
+exact summation order.
+
+An uncached duration table is timed one of two ways, both bit-identical:
+the native core (:mod:`repro.sweep.batch`, many tables of one template
+per pass) through :func:`native_evaluations`, or the pure-python
+reference (:mod:`repro.sweep.retime`) through :func:`python_evaluation`
+for the rows the core cannot serve.  The in-process engine and the pool
+workers (:mod:`repro.sweep.pool`) share both helpers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from time import perf_counter
@@ -43,16 +49,12 @@ from repro.pipeline.comm import CommModel
 from repro.profiler.timeline import Timeline, TimelineEvent
 from repro.profiler.utilization import COLOR_DENSITY
 from repro.sweep import batch as _batch
-from repro.sweep import delta as _delta
 from repro.sweep.cache import BoundedCache
 from repro.sweep.retime import (
     CompiledFill,
     CompiledSim,
-    exact_pow2_ratio,
     fill_compiled,
-    rescale_safe,
-    rescale_timing,
-    tie_margins,
+    simulate_compiled,
 )
 from repro.pipeline.spec import get_spec
 from repro.sweep.template import (
@@ -105,8 +107,9 @@ class _Evaluation:
     base_util: float
     pf_util: float
     refresh: int
-    #: Lazily computed tie-gap spectrum used to validate exact rescales.
-    margins: tuple[float, float] | None = field(default=None, repr=False)
+    #: Set on evaluations the native core served (the pool's counter
+    #: fold reads it back from worker payloads).
+    _native = False
 
 
 class SweepEngine:
@@ -134,12 +137,9 @@ class SweepEngine:
         #: Evaluation counters (exposed via :meth:`stats`).
         self.runs = 0
         self.timing_hits = 0
-        self.rescales = 0
         self.reexecutions = 0
         #: Re-executions served by the native core (subset of the above).
         self.native_evals = 0
-        #: Re-executions served by a delta suffix replay (subset as well).
-        self.delta_retimes = 0
         #: Points evaluated through a multi-point vectorized pass.
         self.batched_points = 0
         #: Monte Carlo replicates re-timed through a native batch pass.
@@ -158,10 +158,8 @@ class SweepEngine:
         self._costs.clear()
         self.runs = 0
         self.timing_hits = 0
-        self.rescales = 0
         self.reexecutions = 0
         self.native_evals = 0
-        self.delta_retimes = 0
         self.batched_points = 0
         self.mc_batched_replicates = 0
         self.mc_faulty_batched = 0
@@ -171,8 +169,8 @@ class SweepEngine:
         """Cache and evaluation counters, for tests and reporting.
 
         ``phase_s`` attributes the engine's wall-clock between template
-        compilation (+ cost models), re-timing (rescale checks, event
-        simulation), bubble filling, and report assembly, so a sweep's
+        compilation (+ cost models), re-timing (event simulation),
+        bubble filling, and report assembly, so a sweep's
         speedup is attributable to a phase.  Pool workers' phase time is
         folded in as worker CPU seconds.
         """
@@ -183,10 +181,11 @@ class SweepEngine:
             "cached_timings": timings,
             "runs": self.runs,
             "timing_hits": self.timing_hits,
-            "rescales": self.rescales,
+            # Retired timing paths, kept at 0 for counter readers.
+            "rescales": 0,
             "reexecutions": self.reexecutions,
             "native_evals": self.native_evals,
-            "delta_retimes": self.delta_retimes,
+            "delta_retimes": 0,
             "batched_points": self.batched_points,
             "mc_batched_replicates": self.mc_batched_replicates,
             "mc_faulty_batched": self.mc_faulty_batched,
@@ -251,8 +250,7 @@ class SweepEngine:
         """Evaluate one point, bit-identical to ``run.execute()``.
 
         ``costs`` overrides the cached stage-cost model (ablations and
-        the rescale tests use synthetic costs; normal sweeps leave it
-        None).
+        tests use synthetic costs; normal sweeps leave it None).
         """
         self.runs += 1
         point = self.compiled_point(run, costs)
@@ -407,8 +405,7 @@ class SweepEngine:
 
         Primed evaluations enter the timing cache at consumption time —
         the same order a sequential loop would put them — so LRU
-        eviction, rescale candidacy, and every counter evolve exactly
-        as without batching.
+        eviction and every counter evolve exactly as without batching.
         """
         for r, p in zip(chunk, points):
             dur_key = (p.base_durs, p.pf_durs, p.qdurs)
@@ -437,25 +434,19 @@ class SweepEngine:
     def _prime_batch(self, points) -> dict:
         """Evaluate a window's uncached tables template-by-template.
 
-        Exact pow2 rescales are peeled off first (cheap, python); the
-        rest of each group runs through the native core as one
+        Each template's group runs through the native core as one
         vectorized pass.  Rows that cannot be primed (no native core,
         fallback-needed statuses) are simply absent — :meth:`_consume`
-        sends them through the sequential path.
+        sends them through the sequential path, so the reference's
+        errors surface in input order.
         """
         primed: dict = {}
         for template, keys in self._group_uncached(points).values():
-            rest = []
-            for dur_key in keys:
-                ev = self._try_rescale(template, *dur_key)
+            if len(keys) < 2:
+                continue
+            evs = native_evaluations(template, keys, self.phase_s)
+            for dur_key, ev in zip(keys, evs):
                 if ev is not None:
-                    self.rescales += 1
-                    primed[(id(template), dur_key)] = ev
-                else:
-                    rest.append(dur_key)
-            if len(rest) > 1 and _batch.batching_supported(template):
-                evaluated = self._batch_execute(template, rest)
-                for dur_key, ev in evaluated.items():
                     self.reexecutions += 1
                     self.native_evals += 1
                     self.batched_points += 1
@@ -463,27 +454,15 @@ class SweepEngine:
         return primed
 
     def _prime_pool(self, ex, _pool, points, jobs: int) -> dict:
-        """Pool flavor of :meth:`_prime_batch`: rescales stay local,
-        everything else is sharded across the worker processes."""
+        """Pool flavor of :meth:`_prime_batch`: each template's uncached
+        tables are sharded across the worker processes."""
         primed: dict = {}
-        tasks = []
-        for template, keys in self._group_uncached(points).values():
-            rest = []
-            for dur_key in keys:
-                ev = self._try_rescale(template, *dur_key)
-                if ev is not None:
-                    self.rescales += 1
-                    primed[(id(template), dur_key)] = ev
-                else:
-                    rest.append(dur_key)
-            if rest:
-                tasks.append((template, rest))
         futures = []
-        for template, rest in tasks:
+        for template, keys in self._group_uncached(points).values():
             stripped = _pool.picklable_template(template)
-            per = max(1, -(-len(rest) // jobs))
-            for lo in range(0, len(rest), per):
-                part = rest[lo:lo + per]
+            per = max(1, -(-len(keys) // jobs))
+            for lo in range(0, len(keys), per):
+                part = keys[lo:lo + per]
                 futures.append(
                     (template, part,
                      ex.submit(_pool.eval_worker, stripped, part)))
@@ -494,47 +473,11 @@ class SweepEngine:
             for dur_key, payload in zip(part, payloads):
                 ev = _pool.evaluation_from_payload(payload)
                 self.reexecutions += 1
-                if getattr(ev, "_native", False):
+                if ev._native:
                     self.native_evals += 1
                 self.batched_points += 1
                 primed[(id(template), dur_key)] = ev
         return primed
-
-    def _batch_execute(self, template, keys: list) -> dict:
-        """Natively evaluate many duration tables of one template.
-
-        Returns ``{dur_key: _Evaluation}``; rows needing the python
-        fallback are omitted rather than evaluated here, so the caller's
-        sequential path raises the reference's errors where it would.
-        """
-        t_begin = perf_counter()
-        gb_b = _batch.simulate_graph_batch(
-            template.base_graph, [k[0] for k in keys])
-        gb_p = _batch.simulate_graph_batch(
-            template.pf_graph, [k[1] for k in keys])
-        if gb_b is None or gb_p is None:
-            self.phase_s["retime"] += perf_counter() - t_begin
-            return {}
-        base_util = _batch.windowed_utilization_batch(gb_b)
-        self.phase_s["retime"] += perf_counter() - t_begin
-        t_begin = perf_counter()
-        fb = _batch.fill_graph_batch(template, gb_p, [k[2] for k in keys])
-        out: dict = {}
-        if fb is not None:
-            for i, dur_key in enumerate(keys):
-                if not (gb_b.ok(i) and gb_p.ok(i) and fb.ok(i)):
-                    continue
-                pf = gb_p.sim(i)
-                out[dur_key] = _Evaluation(
-                    base=gb_b.sim(i),
-                    pf=pf,
-                    fill=fb.fill(i, pf.makespan),
-                    base_util=float(base_util[i]),
-                    pf_util=float(fb.pf_util[i]),
-                    refresh=max(int(fb.refresh[i]), 1),
-                )
-        self.phase_s["fill"] += perf_counter() - t_begin
-        return out
 
     # -- internals ----------------------------------------------------------------
 
@@ -566,11 +509,8 @@ class SweepEngine:
                   pf_durs: tuple, qdurs: tuple) -> _Evaluation:
         """Time + fill one duration table.
 
-        The pipeline, cheapest first: timing-cache hit → exact pow2
-        rescale of a cached timing → native single-point execution →
-        delta suffix replay of the last recorded execution → full
-        reference re-execution.  Every path produces bit-identical
-        values; they differ only in cost.
+        Timing-cache hit → native core → python reference.  Every path
+        produces bit-identical values; they differ only in cost.
         """
         timings: BoundedCache = template.timings
         dur_key = (base_durs, pf_durs, qdurs)
@@ -579,176 +519,14 @@ class SweepEngine:
             self.timing_hits += 1
             return cached
 
-        evaluation = self._try_rescale(template, base_durs, pf_durs, qdurs)
+        evaluation = native_evaluations(template, [dur_key], self.phase_s)[0]
         if evaluation is not None:
-            self.rescales += 1
+            self.native_evals += 1
         else:
-            evaluation = self._execute_one(template, base_durs, pf_durs,
-                                           qdurs)
-            self.reexecutions += 1
+            evaluation = python_evaluation(template, dur_key, self.phase_s)
+        self.reexecutions += 1
         timings.put(dur_key, evaluation)
         return evaluation
-
-    def _try_rescale(self, template: ScheduleTemplate, base_durs: tuple,
-                     pf_durs: tuple, qdurs: tuple) -> _Evaluation | None:
-        """An evaluation exactly rescaled from a cached timing, or None.
-
-        A pow2 ratio between full duration tables rescales every float
-        exactly (same mantissas, shifted exponents), provided no
-        event-order tie sits closer than the margin — the reference
-        arithmetic would land on the same schedule, so this *is* the
-        re-execution's result.
-        """
-        timings: BoundedCache = template.timings
-        t_begin = perf_counter()
-        match = None
-        for ref_key, ref in timings.items():
-            a = exact_pow2_ratio(
-                base_durs + pf_durs + qdurs,
-                ref_key[0] + ref_key[1] + ref_key[2],
-            )
-            if a is None:
-                continue
-            if ref.margins is None:
-                ref.margins = tie_margins([ref.base, ref.pf])
-            if rescale_safe(a, *ref.margins):
-                match = (ref, a)
-                break
-        if match is None:
-            self.phase_s["retime"] += perf_counter() - t_begin
-            return None
-        ref, a = match
-        base = rescale_timing(ref.base, a)
-        pf = rescale_timing(ref.pf, a)
-        self.phase_s["retime"] += perf_counter() - t_begin
-        return self._fill_evaluation(template, base, pf, qdurs)
-
-    def _execute_one(self, template: ScheduleTemplate, base_durs: tuple,
-                     pf_durs: tuple, qdurs: tuple) -> _Evaluation:
-        """Fully evaluate one duration table (native, delta, or python)."""
-        t_begin = perf_counter()
-        base = pf = None
-        gb_p = None
-        if _batch.batching_supported(template):
-            gb_b = _batch.simulate_graph_batch(
-                template.base_graph, [base_durs])
-            gb_p = _batch.simulate_graph_batch(template.pf_graph, [pf_durs])
-            if (gb_b is not None and gb_p is not None
-                    and gb_b.ok(0) and gb_p.ok(0)):
-                base = gb_b.sim(0)
-                pf = gb_p.sim(0)
-                base_util = float(
-                    _batch.windowed_utilization_batch(gb_b)[0])
-                self.native_evals += 1
-            else:
-                gb_p = None
-        if base is None:
-            base, delta_b = self._sim_delta(template, "base",
-                                            template.base_graph, base_durs)
-            pf, delta_p = self._sim_delta(template, "pf",
-                                          template.pf_graph, pf_durs)
-            if delta_b or delta_p:
-                self.delta_retimes += 1
-            base_util = self._windowed_utilization(template.base_graph, base)
-        self.phase_s["retime"] += perf_counter() - t_begin
-
-        if gb_p is not None:
-            t_begin = perf_counter()
-            fb = _batch.fill_graph_batch(template, gb_p, [qdurs])
-            if fb is not None and fb.ok(0):
-                evaluation = _Evaluation(
-                    base=base,
-                    pf=pf,
-                    fill=fb.fill(0, pf.makespan),
-                    base_util=base_util,
-                    pf_util=float(fb.pf_util[0]),
-                    refresh=max(int(fb.refresh[0]), 1),
-                )
-                self.phase_s["fill"] += perf_counter() - t_begin
-                return evaluation
-            self.phase_s["fill"] += perf_counter() - t_begin
-        return self._fill_evaluation(template, base, pf, qdurs,
-                                     base_util=base_util)
-
-    def _fill_evaluation(self, template: ScheduleTemplate, base: CompiledSim,
-                         pf: CompiledSim, qdurs: tuple,
-                         base_util: float | None = None) -> _Evaluation:
-        """The reference fill + utilization folds around timed sims."""
-        t_begin = perf_counter()
-        fill = fill_compiled(template, pf, qdurs)
-        refresh = max(fill.device_steps.values(), default=1)
-        refresh = max(refresh, 1)
-        evaluation = _Evaluation(
-            base=base,
-            pf=pf,
-            fill=fill,
-            base_util=(self._windowed_utilization(template.base_graph, base)
-                       if base_util is None else base_util),
-            pf_util=self._pf_utilization(template, pf, fill, qdurs, refresh),
-            refresh=refresh,
-        )
-        self.phase_s["fill"] += perf_counter() - t_begin
-        return evaluation
-
-    def _sim_delta(self, template: ScheduleTemplate, slot: str, graph,
-                   durs: tuple) -> tuple[CompiledSim, bool]:
-        """Simulate ``durs``, replaying a recorded suffix when possible.
-
-        Each graph keeps the trace of its most recent full execution on
-        the template (bounded memory: one trace per graph); a table
-        whose changed codes all dispatch late resumes from the deepest
-        shared checkpoint instead of replaying the whole schedule.
-        """
-        traces = getattr(template, "_delta_traces", None)
-        if traces is None:
-            traces = template._delta_traces = {}
-        trace = traces.get(slot)
-        if trace is not None and trace.graph is graph:
-            resumed = _delta.resume(trace, durs)
-            if resumed is not None:
-                return resumed, True
-        sim, trace = _delta.simulate_recording(graph, durs)
-        traces[slot] = trace
-        return sim, False
-
-    @staticmethod
-    def _windowed_utilization(graph, sim: CompiledSim) -> float:
-        """Replicates ``utilization(timeline, (0.0, makespan))`` exactly."""
-        t1 = sim.makespan
-        total = 0.0
-        start = sim.start
-        end = sim.ev_end
-        kind = graph.kind
-        density = COLOR_DENSITY
-        for i in sim.ev_order:
-            e = end[i]
-            s = start[i]
-            if e <= 0.0 or s >= t1:
-                continue
-            total += (min(e, t1) - max(s, 0.0)) * density.get(kind[i], 1.0)
-        return total / (graph.num_devices * (t1 - 0.0))
-
-    @staticmethod
-    def _pf_utilization(template: ScheduleTemplate, pf: CompiledSim,
-                        fill: CompiledFill, qdurs: tuple, refresh: int
-                        ) -> float:
-        """Replicates the runner's arithmetic refresh-cycle utilization."""
-        density = COLOR_DENSITY
-        kind = template.pf_graph.kind
-        start = pf.start
-        end = pf.ev_end
-        c_template = 0.0
-        for i in pf.ev_order:
-            c_template += (end[i] - start[i]) * density.get(kind[i], 1.0)
-        c_kfac = 0.0
-        for dev in sorted(fill.segments):
-            items = template.queues.devices[dev].items
-            for pos, segs in enumerate(fill.segments[dev]):
-                rho = density.get(items[pos].kind, 1.0)
-                for s, e in segs:
-                    c_kfac += (e - s) * rho
-        pf_colored = refresh * c_template + c_kfac
-        return pf_colored / (template.num_devices * refresh * pf.makespan)
 
     def _build_report(self, run: PipeFisherRun, template: ScheduleTemplate,
                       qdurs: tuple, ev: _Evaluation) -> PipeFisherReport:
@@ -781,6 +559,117 @@ class SweepEngine:
             report.pipefisher_timeline
         self.phase_s["report"] += perf_counter() - t_begin
         return report
+
+
+def native_evaluations(template: ScheduleTemplate, dur_keys: list,
+                       phase_s: dict) -> list:
+    """Evaluate many duration tables of one template in one native pass.
+
+    Returns one entry per key: an :class:`_Evaluation` marked ``_native``,
+    or None where the row needs :func:`python_evaluation` (core
+    unavailable for this template, or a non-OK sim/fill status) — the
+    reference then raises its own errors for that row.  Wall-clock is
+    added to ``phase_s["retime"]`` and ``phase_s["fill"]``.
+    """
+    out: list = [None] * len(dur_keys)
+    if not _batch.batching_supported(template):
+        return out
+    t_begin = perf_counter()
+    gb_b = _batch.simulate_graph_batch(
+        template.base_graph, [k[0] for k in dur_keys])
+    gb_p = _batch.simulate_graph_batch(
+        template.pf_graph, [k[1] for k in dur_keys])
+    if gb_b is None or gb_p is None:
+        phase_s["retime"] += perf_counter() - t_begin
+        return out
+    base_util = _batch.windowed_utilization_batch(gb_b)
+    phase_s["retime"] += perf_counter() - t_begin
+    t_begin = perf_counter()
+    fb = _batch.fill_graph_batch(template, gb_p, [k[2] for k in dur_keys])
+    if fb is not None:
+        for i in range(len(dur_keys)):
+            if not (gb_b.ok(i) and gb_p.ok(i) and fb.ok(i)):
+                continue
+            pf = gb_p.sim(i)
+            ev = _Evaluation(
+                base=gb_b.sim(i),
+                pf=pf,
+                fill=fb.fill(i, pf.makespan),
+                base_util=float(base_util[i]),
+                pf_util=float(fb.pf_util[i]),
+                refresh=max(int(fb.refresh[i]), 1),
+            )
+            ev._native = True
+            out[i] = ev
+    phase_s["fill"] += perf_counter() - t_begin
+    return out
+
+
+def python_evaluation(template: ScheduleTemplate, dur_key: tuple,
+                      phase_s: dict) -> _Evaluation:
+    """Evaluate one duration table through the pure-python reference.
+
+    Simulates both graphs, fills the bubbles, and folds the
+    utilizations; wall-clock is added to ``phase_s`` like
+    :func:`native_evaluations`.
+    """
+    base_durs, pf_durs, qdurs = dur_key
+    t_begin = perf_counter()
+    base = simulate_compiled(template.base_graph, base_durs)
+    pf = simulate_compiled(template.pf_graph, pf_durs)
+    base_util = _windowed_utilization(template.base_graph, base)
+    phase_s["retime"] += perf_counter() - t_begin
+    t_begin = perf_counter()
+    fill = fill_compiled(template, pf, qdurs)
+    refresh = max(max(fill.device_steps.values(), default=1), 1)
+    evaluation = _Evaluation(
+        base=base,
+        pf=pf,
+        fill=fill,
+        base_util=base_util,
+        pf_util=_pf_utilization(template, pf, fill, qdurs, refresh),
+        refresh=refresh,
+    )
+    phase_s["fill"] += perf_counter() - t_begin
+    return evaluation
+
+
+def _windowed_utilization(graph, sim: CompiledSim) -> float:
+    """Replicates ``utilization(timeline, (0.0, makespan))`` exactly."""
+    t1 = sim.makespan
+    total = 0.0
+    start = sim.start
+    end = sim.ev_end
+    kind = graph.kind
+    density = COLOR_DENSITY
+    for i in sim.ev_order:
+        e = end[i]
+        s = start[i]
+        if e <= 0.0 or s >= t1:
+            continue
+        total += (min(e, t1) - max(s, 0.0)) * density.get(kind[i], 1.0)
+    return total / (graph.num_devices * (t1 - 0.0))
+
+
+def _pf_utilization(template: ScheduleTemplate, pf: CompiledSim,
+                    fill: CompiledFill, qdurs: tuple, refresh: int) -> float:
+    """Replicates the runner's arithmetic refresh-cycle utilization."""
+    density = COLOR_DENSITY
+    kind = template.pf_graph.kind
+    start = pf.start
+    end = pf.ev_end
+    c_template = 0.0
+    for i in pf.ev_order:
+        c_template += (end[i] - start[i]) * density.get(kind[i], 1.0)
+    c_kfac = 0.0
+    for dev in sorted(fill.segments):
+        items = template.queues.devices[dev].items
+        for pos, segs in enumerate(fill.segments[dev]):
+            rho = density.get(items[pos].kind, 1.0)
+            for s, e in segs:
+                c_kfac += (e - s) * rho
+    pf_colored = refresh * c_template + c_kfac
+    return pf_colored / (template.num_devices * refresh * pf.makespan)
 
 
 class _CachedPerfModel(PipelinePerfModel):

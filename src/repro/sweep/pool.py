@@ -4,21 +4,20 @@ The parent engine resolves structure (templates, cost models, duration
 tables) and workers do only the numeric half: each receives one pickled
 *stripped* template — timings cache and native handles dropped, so the
 payload is plain lists — plus a slice of duration tables, evaluates
-them (native core when the worker can compile/load it, reference python
-otherwise), and returns plain timing payloads.  The parent rebuilds
-reference-typed evaluations from the payloads; since both paths compute
-python floats through the same operations, pooled results are
+them with the engine's own helpers
+(:func:`~repro.sweep.engine.native_evaluations`, then
+:func:`~repro.sweep.engine.python_evaluation` for the rows the core
+cannot serve), and returns plain timing payloads.  The parent rebuilds
+reference-typed evaluations from the payloads, so pooled results are
 bit-identical to in-process ones.
 
-Used by ``SweepEngine.run_many(jobs=N)`` and, one level up, by
-``CampaignRunner`` (shard-per-worker) and ``stochastic.monte_carlo``
-(seed-block-per-worker).
+Used by ``SweepEngine.run_many(jobs=N)``; ``stochastic.monte_carlo``
+borrows :func:`picklable_template` for its seed-block workers.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from time import perf_counter
 
 from repro.sweep.retime import CompiledFill, CompiledSim
 
@@ -59,7 +58,7 @@ def evaluation_payload(ev) -> dict:
         "base_util": ev.base_util,
         "pf_util": ev.pf_util,
         "refresh": ev.refresh,
-        "native": getattr(ev, "_native", False),
+        "native": ev._native,
     }
 
 
@@ -93,65 +92,13 @@ def eval_worker(template, dur_keys: list) -> tuple:
     in input order.  Must stay module-level: the pool pickles it by
     reference.
     """
-    from repro.sweep import batch as _batch
-    from repro.sweep.engine import SweepEngine, _Evaluation
-    from repro.sweep.retime import fill_compiled, simulate_compiled
+    from repro.sweep.engine import native_evaluations, python_evaluation
 
-    payloads = [None] * len(dur_keys)
-    retime_s = 0.0
-    fill_s = 0.0
-    todo = list(range(len(dur_keys)))
-
-    if _batch.batching_supported(template):
-        t_begin = perf_counter()
-        gb_b = _batch.simulate_graph_batch(
-            template.base_graph, [dur_keys[i][0] for i in todo])
-        gb_p = _batch.simulate_graph_batch(
-            template.pf_graph, [dur_keys[i][1] for i in todo])
-        base_util = (_batch.windowed_utilization_batch(gb_b)
-                     if gb_b is not None else None)
-        retime_s += perf_counter() - t_begin
-        t_begin = perf_counter()
-        fb = (_batch.fill_graph_batch(
-            template, gb_p, [dur_keys[i][2] for i in todo])
-            if gb_p is not None else None)
-        if gb_b is not None and gb_p is not None and fb is not None:
-            remaining = []
-            for row, i in enumerate(todo):
-                if not (gb_b.ok(row) and gb_p.ok(row) and fb.ok(row)):
-                    remaining.append(i)
-                    continue
-                pf = gb_p.sim(row)
-                ev = _Evaluation(
-                    base=gb_b.sim(row), pf=pf,
-                    fill=fb.fill(row, pf.makespan),
-                    base_util=float(base_util[row]),
-                    pf_util=float(fb.pf_util[row]),
-                    refresh=max(int(fb.refresh[row]), 1),
-                )
-                ev._native = True
-                payloads[i] = evaluation_payload(ev)
-            todo = remaining
-        fill_s += perf_counter() - t_begin
-
-    for i in todo:
-        base_durs, pf_durs, qdurs = dur_keys[i]
-        t_begin = perf_counter()
-        base = simulate_compiled(template.base_graph, base_durs)
-        pf = simulate_compiled(template.pf_graph, pf_durs)
-        bu = SweepEngine._windowed_utilization(template.base_graph, base)
-        retime_s += perf_counter() - t_begin
-        t_begin = perf_counter()
-        fill = fill_compiled(template, pf, qdurs)
-        refresh = max(fill.device_steps.values(), default=1)
-        refresh = max(refresh, 1)
-        ev = _Evaluation(
-            base=base, pf=pf, fill=fill, base_util=bu,
-            pf_util=SweepEngine._pf_utilization(template, pf, fill, qdurs,
-                                                refresh),
-            refresh=refresh,
-        )
-        payloads[i] = evaluation_payload(ev)
-        fill_s += perf_counter() - t_begin
-
-    return payloads, retime_s, fill_s
+    phase_s = {"retime": 0.0, "fill": 0.0}
+    evs = native_evaluations(template, dur_keys, phase_s)
+    payloads = [
+        evaluation_payload(ev if ev is not None
+                           else python_evaluation(template, key, phase_s))
+        for key, ev in zip(dur_keys, evs)
+    ]
+    return payloads, phase_s["retime"], phase_s["fill"]

@@ -1,33 +1,20 @@
 """Re-timing a compiled schedule template for one sweep point.
 
-Two paths, both bit-identical to the reference per-point pipeline:
+The pure-python reference the native core (:mod:`repro.sweep.batch`) is
+fuzzed against, and the fallback for every row the core cannot serve.
 
-* :func:`simulate_compiled` — the event-driven executor of
-  :func:`repro.pipeline.executor.simulate_tasks`, ported onto a
-  :class:`~repro.sweep.template.CompiledGraph`'s integer arrays.  Every
-  float operation and tie-break is replicated in the reference's order
-  (ready heaps compare precomputed ``order_key``s that encode the
-  reference's ``(priority, tid)`` order), so times match bit for bit.
-  It optionally re-times with an explicit per-task duration array and a
-  :class:`DeviceFaults` failure/restart plan — the stochastic replicate
-  path (:mod:`repro.stochastic`), which perturbs durations per device
-  and injects restart-from-checkpoint downtime without rebuilding the
-  graph.
-* :func:`rescale_timing` — when a new point's durations are exactly a
-  power-of-two multiple of an already-timed point's, the simulated clock
-  can be scaled instead of re-run: multiplying by 2**k only shifts float
-  exponents, so every sum, max, and comparison in a fresh simulation
-  would produce exactly the scaled values.  The one hazard is the
-  executor's absolute tie epsilon (1e-12): a time gap near it could
-  change sides under scaling, so a timing is only rescaled when its
-  observed gap spectrum stays clear of the epsilon band on both sides
-  (:func:`tie_margins`).  Non-power-of-two or margin-violating scalings
-  fall back to re-execution — exactness is never traded for speed.
+:func:`simulate_compiled` is the event-driven executor of
+:func:`repro.pipeline.executor.simulate_tasks`, ported onto a
+:class:`~repro.sweep.template.CompiledGraph`'s integer arrays.  Every
+float operation and tie-break is replicated in the reference's order
+(ready heaps compare precomputed ``order_key``s that encode the
+reference's ``(priority, tid)`` order), so times match bit for bit.  It
+optionally re-times with an explicit per-task duration array and a
+:class:`DeviceFaults` failure/restart plan — the stochastic replicate
+path (:mod:`repro.stochastic`), which perturbs durations per device and
+injects restart-from-checkpoint downtime without rebuilding the graph.
 
-The bubble filler (:func:`fill_compiled`) always re-runs: its feasibility
-thresholds (``min_chunk``, ``min_bubble``) are absolute seconds, so its
-*decisions* legitimately change under uniform cost scaling even though
-the pipeline timeline merely stretches.  The port keeps the reference
+:func:`fill_compiled` ports the bubble filler.  It keeps the reference
 ``BubbleFiller``'s candidate *visit order* (ready/future sets walked in
 exactly the heap-pop order) but holds the sets as sorted lists, which
 turns the reference's pop/stash/re-push churn at every bubble boundary
@@ -39,7 +26,6 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass
-from math import frexp, isfinite
 
 from repro.sweep.template import CompiledGraph, ScheduleTemplate
 
@@ -288,93 +274,6 @@ def simulate_compiled(
     return CompiledSim(start=start, end=end, ev_end=ev_end,
                        ev_order=ev_order, makespan=max(end),
                        restarts=tuple(restarts) if faults is not None else ())
-
-
-# -- exact rescaling ------------------------------------------------------------
-
-
-def exact_pow2_ratio(new: tuple, old: tuple) -> float | None:
-    """The single power-of-two ``alpha`` with ``new == alpha * old``, or None.
-
-    Zeros must pair with zeros; every nonzero pair must give the *same*
-    float ratio; the ratio must be a power of two (so ``alpha * x`` is
-    exact for every finite ``x``); and every product must reproduce the
-    new value bit-for-bit.
-    """
-    alpha: float | None = None
-    for a, b in zip(new, old):
-        if b == 0.0 or a == 0.0:
-            if a != b:
-                return None
-            continue
-        r = a / b
-        if alpha is None:
-            m, _ = frexp(r)
-            if m != 0.5 or not isfinite(r):
-                return None
-            alpha = r
-        elif r != alpha:
-            return None
-    if alpha is None:
-        return 1.0
-    for a, b in zip(new, old):
-        if b != 0.0 and b * alpha != a:
-            return None
-    return alpha
-
-
-def tie_margins(sims: list[CompiledSim]) -> tuple[float, float]:
-    """(max tie-cluster diameter, min inter-cluster gap) of a timing.
-
-    Times within ``_TIME_EPS`` of each other form a tie cluster (the
-    executor treats them as one instant).  A rescale by ``alpha`` keeps
-    every comparison's outcome iff scaled diameters stay <= eps and
-    scaled cluster gaps stay > eps; the caller checks both against the
-    returned margins.
-    """
-    times = sorted({t for sim in sims for t in sim.start}
-                   | {t for sim in sims for t in sim.end}
-                   | {t for sim in sims for t in sim.ev_end})
-    max_diam = 0.0
-    min_gap = float("inf")
-    cluster_start = None
-    for prev, cur in zip(times, times[1:]):
-        gap = cur - prev
-        if gap <= _TIME_EPS:
-            if cluster_start is None:
-                cluster_start = prev
-            max_diam = max(max_diam, cur - cluster_start)
-        else:
-            cluster_start = None
-            min_gap = min(min_gap, gap)
-    return max_diam, min_gap
-
-
-def rescale_safe(alpha: float, max_diam: float, min_gap: float) -> bool:
-    """Would every ``<= t + eps`` comparison survive scaling by ``alpha``?
-
-    Three conjuncts: the reference's tie clusters were genuine ties
-    (diameter within the epsilon *before* scaling — a wider chained
-    cluster was only partially batched, and down-scaling it under the
-    epsilon would batch it fully in a fresh run), they stay ties after
-    scaling, and distinct instants stay distinct after scaling.
-    """
-    return (max_diam <= _TIME_EPS
-            and max_diam * alpha <= _TIME_EPS
-            and min_gap * alpha > _TIME_EPS)
-
-
-def rescale_timing(sim: CompiledSim, alpha: float) -> CompiledSim:
-    """Scale a timing by an exact power of two (validated by the caller)."""
-    if alpha == 1.0:
-        return sim
-    return CompiledSim(
-        start=[t * alpha for t in sim.start],
-        end=[t * alpha for t in sim.end],
-        ev_end=[t * alpha for t in sim.ev_end],
-        ev_order=sim.ev_order,
-        makespan=sim.makespan * alpha,
-    )
 
 
 # -- bubble filling over compiled queues ----------------------------------------

@@ -7,6 +7,8 @@ in-memory service with its own engine, so tests are hermetic.
 """
 
 import json
+import socket
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -207,6 +209,25 @@ class TestHTTPRouting:
             urllib.request.urlopen(req, timeout=10)
         assert exc.value.code == 400
         assert "invalid JSON" in json.loads(exc.value.read())["error"]
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400_and_closes(self, live, length):
+        """A non-integer or negative ``Content-Length`` is a 400, and the
+        server closes the connection (the body's extent is unknown)
+        instead of answering 500 or blocking on ``rfile.read(-1)``."""
+        url = urllib.parse.urlsplit(live.url)
+        request = (f"POST /plan HTTP/1.1\r\nHost: {url.hostname}\r\n"
+                   f"Content-Type: application/json\r\n"
+                   f"Content-Length: {length}\r\n\r\n{{}}").encode()
+        with socket.create_connection((url.hostname, url.port),
+                                      timeout=10) as sock:
+            sock.sendall(request)
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert "Content-Length" in json.loads(body)["error"]
 
     def test_service_errors_carry_json_bodies(self, live):
         with pytest.raises(ServiceHTTPError) as exc:

@@ -75,3 +75,23 @@ def test_batch_without_native_matches(run, monkeypatch):
     got = monte_carlo(run, JITTER, range(6), engine=SweepEngine(),
                       batch=True).replicates
     assert got == ref
+
+
+@pytest.mark.skipif(not native.available(),
+                    reason="native core unavailable (nothing is batched)")
+def test_pool_counter_fidelity_vs_in_process(run):
+    """``jobs=2`` credits the caller's engine exactly as the in-process
+    batch does: worker counts are folded back, not dropped."""
+    counters = ("native_evals", "batched_points", "mc_batched_replicates",
+                "mc_faulty_batched")
+
+    def counts(jobs):
+        eng = SweepEngine()
+        monte_carlo(run, MIXED, SEEDS, engine=eng, jobs=jobs)
+        stats = eng.stats()
+        return {k: stats[k] for k in counters}
+
+    seq, pooled = counts(None), counts(2)
+    assert pooled == seq
+    assert seq["mc_batched_replicates"] == len(SEEDS)
+    assert seq["mc_faulty_batched"] > 0

@@ -1,8 +1,8 @@
 """Batched re-timing must be bit-identical to the per-point reference.
 
 Property tests for the PR's core invariant: every path that evaluates a
-compiled point — native batched sim/fill, delta re-timing, the
-``run_many`` streaming loop, and the process pool — produces exactly
+compiled point — native batched sim/fill, the ``run_many``
+streaming loop, and the process pool — produces exactly
 the values the pure-python :func:`~repro.sweep.retime.simulate_compiled`
 path does (``==`` on floats, no tolerances).  One fuzz case per
 registered schedule family, 20 seeds each.

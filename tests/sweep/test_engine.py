@@ -1,4 +1,4 @@
-"""SweepEngine behavior: cache accounting, bounds, rescaling, perf models."""
+"""SweepEngine behavior: caches, bounds, synthetic costs, perf models."""
 
 import pytest
 
@@ -10,7 +10,8 @@ from repro.perfmodel.model import PipelinePerfModel
 from repro.pipefisher import runner as runner_mod
 from repro.pipefisher.runner import PipeFisherRun
 from repro.sweep import SweepEngine, default_engine
-from repro.sweep.retime import exact_pow2_ratio
+from repro.sweep.cache import BoundedCache
+from tests.sweep.test_engine_equivalence import assert_reports_identical
 
 
 def chimera_point(b_micro=32, depth=8, hw="P100", **kw):
@@ -102,44 +103,26 @@ def synthetic_costs(scale=1.0):
                       t_overhead=scale * (1 / 64), kernel_density=1.0)
 
 
-class TestExactRescale:
-    def test_rescale_refuses_wide_tie_clusters(self):
-        """A reference whose chained tie cluster exceeded the executor's
-        1e-12 epsilon was only *partially* batched; down-scaling it under
-        the epsilon would batch it fully in a fresh run, so such a timing
-        must never be rescaled — in either direction."""
-        from repro.sweep.retime import rescale_safe
+class TestSyntheticCosts:
+    """Engine-vs-reference equivalence at exact-binary synthetic costs."""
 
-        # Healthy reference: tight ties, well-separated instants.
-        assert rescale_safe(0.25, 1e-15, 1e-6)
-        assert rescale_safe(4.0, 1e-15, 1e-6)
-        # Cluster diameter 4e-12 > eps: refuse even though 0.25x would
-        # shrink it to 1e-12.
-        assert not rescale_safe(0.25, 4e-12, 1e-6)
-        # Ties that would break apart under up-scaling: refuse.
-        assert not rescale_safe(4.0, 0.5e-12, 1e-6)
-        # Distinct instants that would collapse into ties: refuse.
-        assert not rescale_safe(0.25, 1e-15, 3e-12)
+    @staticmethod
+    def _assert_matches_execute(monkeypatch, engine, run, costs):
+        """``engine.run(run, costs)`` equals ``run.execute()`` at ``costs``.
 
-    def test_pow2_ratio_detection(self):
-        assert exact_pow2_ratio((2.0, 6.0, 0.0), (1.0, 3.0, 0.0)) == 2.0
-        assert exact_pow2_ratio((1.0, 3.0), (1.0, 3.0)) == 1.0
-        assert exact_pow2_ratio((3.0, 3.0), (1.0, 3.0)) is None   # mixed
-        assert exact_pow2_ratio((1.5, 4.5), (1.0, 3.0)) is None   # not 2**k
-        assert exact_pow2_ratio((2.0, 0.0), (1.0, 3.0)) is None   # zero pair
-
-    def test_rescaled_point_matches_fresh_reference(self, monkeypatch):
-        """A x2 uniform scaling must take the rescale path and still be
-        bit-identical to a from-scratch per-point run at those costs.
-
-        Uses a single-replica 1f1b point: schedules with a sync-grad
-        allreduce (e.g. Chimera's pipeline pair) have a comm-derived
-        duration that a costs-only scaling does not touch, so they are
-        correctly *ineligible* for rescaling.
+        The reference resolves costs through the runner memo, so the
+        synthetic model is seeded there.
         """
-        from repro.sweep.cache import BoundedCache
-        from tests.sweep.test_engine_equivalence import assert_reports_identical
+        got = engine.run(run, costs=costs)
+        memo = BoundedCache(maxsize=8)
+        memo.put((run.arch, run.hardware, run.b_micro, run.layers_per_stage,
+                  run.schedule), costs)
+        monkeypatch.setattr(runner_mod, "_STAGE_COSTS_MEMO", memo)
+        assert_reports_identical(run.execute(), got)
 
+    def test_uniform_x2_point_matches_reference(self, monkeypatch):
+        """A point whose every duration is exactly 2x a timed point's is
+        evaluated afresh and matches a from-scratch per-point run."""
         engine = SweepEngine()
         run = PipeFisherRun(schedule="1f1b", arch=BERT_BASE, hardware=P100,
                             b_micro=32, depth=4, n_micro=4)
@@ -153,18 +136,10 @@ class TestExactRescale:
 
         engine.run(run, costs=base_costs)
         assert engine.reexecutions == 1
-        got = engine.run(run, costs=scaled_costs)
-        assert engine.rescales == 1, "uniform x2 point did not rescale"
+        self._assert_matches_execute(monkeypatch, engine, run, scaled_costs)
+        assert engine.reexecutions == 2
 
-        # Reference: a per-point run with the scaled costs seeded into the
-        # runner memo (execute() resolves costs through it).
-        memo = BoundedCache(maxsize=8)
-        memo.put((run.arch, run.hardware, run.b_micro, run.layers_per_stage,
-                  run.schedule), scaled_costs)
-        monkeypatch.setattr(runner_mod, "_STAGE_COSTS_MEMO", memo)
-        assert_reports_identical(run.execute(), got)
-
-    def test_non_uniform_scaling_reexecutes(self):
+    def test_non_uniform_point_matches_reference(self, monkeypatch):
         engine = SweepEngine()
         run = PipeFisherRun(schedule="1f1b", arch=BERT_BASE, hardware=P100,
                             b_micro=32, depth=4, n_micro=4)
@@ -180,8 +155,7 @@ class TestExactRescale:
             layers_per_stage=1, t_overhead=other.t_overhead,
             kernel_density=1.0,
         )
-        engine.run(run, costs=other)
-        assert engine.rescales == 0
+        self._assert_matches_execute(monkeypatch, engine, run, other)
         assert engine.reexecutions == 2
 
 

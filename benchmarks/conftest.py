@@ -13,6 +13,7 @@ Run with::
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -28,14 +29,16 @@ def record(benchmark, **info):
 
 
 def write_bench(name: str, **data) -> Path:
-    """Write ``BENCH_<name>.json`` so perf is tracked across PRs.
+    """Write ``BENCH_<name>.json`` when ``REPRO_WRITE_BENCH=1``.
 
     The scaling benchmarks call this with wall-time + speedup numbers;
     the committed files are the perf trajectory the next PR compares
-    against.
+    against.  A plain test run leaves them untouched, so running the
+    suite changes no tracked file.
     """
     path = BENCH_DIR / f"BENCH_{name}.json"
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    if os.environ.get("REPRO_WRITE_BENCH") == "1":
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return path
 
 

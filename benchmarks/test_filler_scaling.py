@@ -1,12 +1,13 @@
 """Indexed bubble filler vs the seed's scan-all greedy loop.
 
-The pre-rewrite ``BubbleFiller._fill_device`` rescanned every unassigned
-item per placed segment, and every scan re-walked the full
-``("items", ...)`` dependency tuple — roughly cubic in queue size, and
-(after PR 1's executor rewrite) the dominant cost of a PipeFisher run.
-The indexed placer keeps per-device ready heaps ordered by the greedy
-rule's ``(start, -ready, position)`` key and decrements dependency
-counters as items complete — O(items log items + total deps).
+The seed ``BubbleFiller`` rescanned every unassigned item per placed
+segment, and every scan re-walked the full ``("items", ...)`` dependency
+tuple — roughly cubic in queue size, and (after the event-driven executor
+rewrite) the dominant cost of a PipeFisher run.  Today's filler
+(:func:`repro.sweep.retime.fill_queues`) keeps per-device candidate lists
+ordered by the greedy rule's ``(start, -ready, position)`` key and
+decrements dependency counters as items complete — O(items log items +
+total deps).
 
 This benchmark freezes the seed algorithm below as the baseline, asserts
 the rewrite produces bit-identical ``(iid -> segments)`` placements on
@@ -19,14 +20,40 @@ import time
 
 from benchmarks.conftest import record, write_bench
 from repro.perfmodel.costs import StageCosts, WorkCosts
-from repro.pipefisher.assignment import _EPS, BubbleFiller
+from repro.pipefisher.assignment import AssignmentResult, BubbleFiller
 from repro.pipefisher.workqueue import build_device_queues
 from repro.pipeline import PipelineConfig, make_schedule, simulate_tasks
 from repro.pipeline.bubbles import bubble_intervals
 
 
-class _LegacyBubbleFiller(BubbleFiller):
+_EPS = 1e-9
+
+
+class _LegacyBubbleFiller:
     """The seed filler's scan-all loops, kept verbatim as a frozen baseline."""
+
+    def __init__(self, template, queues, dp=1, max_steps=64,
+                 min_bubble=1e-5, min_chunk=2e-3, steady_state=True):
+        self.template = template
+        self.queues = queues
+        self.dp = dp
+        self.max_steps = max_steps
+        self.min_bubble = min_bubble
+        self.min_chunk = min_chunk
+        self.steady_state = steady_state
+        self.span = template.makespan
+        self._event_end = {}
+        for e in template.timeline.events:
+            kind = "backward" if e.kind == "backward_input" else e.kind
+            if kind in ("forward", "backward"):
+                key = (
+                    kind,
+                    e.meta["stage"],
+                    e.meta["micro_batch"],
+                    e.meta.get("pipeline"),
+                    e.meta.get("replica", 0),
+                )
+                self._event_end[key] = max(self._event_end.get(key, 0.0), e.end)
 
     def _ready_time(self, item, by_id):
         kind = item.trigger[0]
@@ -114,6 +141,26 @@ class _LegacyBubbleFiller(BubbleFiller):
         raise RuntimeError(
             f"device {device}: {remaining} K-FAC items still unassigned after "
             f"{self.max_steps} steps; bubbles too small for the work"
+        )
+
+    def fill(self):
+        per_device = {}
+        for device in sorted(self.queues):
+            per_device[device] = self._fill_device(device)
+        unassigned = [
+            i.iid for q in self.queues.values() for i in q.items if not i.assigned
+        ]
+        if unassigned:
+            raise RuntimeError(
+                f"fill left {len(unassigned)} item(s) unassigned: "
+                f"{unassigned[:5]}"
+            )
+        refresh = max(per_device.values(), default=1)
+        return AssignmentResult(
+            queues=self.queues,
+            refresh_steps=max(refresh, 1),
+            span=self.span,
+            device_refresh_steps=per_device,
         )
 
 

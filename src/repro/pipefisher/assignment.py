@@ -15,32 +15,22 @@ triggered by "forward of micro-batch m at stage s" is ready at that
 forward's end *within the step it is placed in*.  The number of steps
 needed to drain the queue is the curvature refresh interval.
 
-The placer is event-indexed: per-device ready heaps ordered exactly like
-the greedy rule's ``(start, -ready, position)`` key, dependency counters
-for ``("items", ...)`` triggers (a completed item decrements its
-dependents instead of every scan re-walking the full dependency tuple),
-and a bubble cursor that only ever moves forward.  Placement work is
-O(items log items + total deps), plus per-placement re-checks of the
-ready items that sort ahead of the winner but cannot split into the
-bubble's remaining room under ``min_chunk`` — a small prefix in practice,
-since similarly-sized items stop fitting at the same time and end the
-bubble.  This replaces rescanning every unassigned item per placed
-segment, while producing placements bit-identical to the original
-scan-all greedy loop (frozen as the baseline in
-``benchmarks/test_filler_scaling.py``).
+:class:`BubbleFiller` lowers the queues and the profiled step to arrays
+(:func:`repro.sweep.template.compile_queues`) and runs the one python
+placement loop, :func:`repro.sweep.retime.fill_queues` — the same loop
+the sweep engine re-times templates with.  Its placements are
+bit-identical to the seed's scan-all greedy loop, frozen as the baseline
+in ``benchmarks/test_filler_scaling.py``.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
-from repro.pipefisher.workqueue import KFACWorkItem, KFACWorkQueue
+from repro.pipefisher.workqueue import KFACWorkQueue
 from repro.pipeline.bubbles import bubble_intervals
 from repro.pipeline.executor import SimulationResult
 from repro.profiler.timeline import TimelineEvent
-
-_EPS = 1e-9
 
 
 @dataclass
@@ -96,6 +86,7 @@ class BubbleFiller:
         precondition already on the critical path).
     queues:
         Per-device work inventories from :func:`build_device_queues`.
+        :meth:`fill` writes each item's segments.
     dp:
         Data-parallel degree (to resolve which replica's forward/backward
         events trigger a device's items).
@@ -103,6 +94,16 @@ class BubbleFiller:
         Safety bound on the refresh interval.
     min_bubble:
         Ignore bubbles shorter than this (kernel-launch granularity).
+    min_chunk:
+        Smallest placeable piece of a split work (~one CUDA kernel).
+    steady_state:
+        In the repeating (static) schedule, every trigger event has
+        already occurred in the previous step, so startup bubbles before
+        a cycle's own forward/backward may compute factors from the
+        previous step's saved tensors — the same staleness the paper
+        embraces ("the first precondition ... is performed with the
+        stale inverse matrices calculated at previous steps").  Set
+        False to model the very first cycle after initialization.
     """
 
     def __init__(
@@ -120,264 +121,57 @@ class BubbleFiller:
         self.dp = dp
         self.max_steps = max_steps
         self.min_bubble = min_bubble
-        #: Smallest placeable piece of a split work (~one CUDA kernel).
         self.min_chunk = min_chunk
-        #: In the repeating (static) schedule, every trigger event has
-        #: already occurred in the previous step, so startup bubbles before
-        #: a cycle's own forward/backward may compute factors from the
-        #: previous step's saved tensors — the same staleness the paper
-        #: embraces ("the first precondition ... is performed with the
-        #: stale inverse matrices calculated at previous steps").  Set
-        #: False to model the very first cycle after initialization.
         self.steady_state = steady_state
         self.span = template.makespan
-        #: Trigger events by canonical kind.  A zero-bubble split backward
-        #: satisfies "backward" triggers at its *input-grad* end: the
-        #: error signal a B-factor needs is the output gradient, which the
-        #: input-grad pass produces (weight-grads consume it, not make it).
-        self._event_end: dict[tuple, float] = {}
-        for e in template.timeline.events:
-            kind = "backward" if e.kind == "backward_input" else e.kind
-            if kind in ("forward", "backward"):
-                key = (
-                    kind,
-                    e.meta["stage"],
-                    e.meta["micro_batch"],
-                    e.meta.get("pipeline"),
-                    e.meta.get("replica", 0),
-                )
-                self._event_end[key] = max(self._event_end.get(key, 0.0), e.end)
-
-    # -- readiness ----------------------------------------------------------------
-
-    def _ready_time(
-        self, item: KFACWorkItem, by_id: dict[str, KFACWorkItem]
-    ) -> float | None:
-        """Absolute readiness time of ``item``.
-
-        A curvature item becomes ready at the end of its trigger event in
-        the *first* step and stays ready afterwards: activations are held
-        for A factors and error signals are saved for B factors (that is
-        what M_act and M_err^save in the §3.3 memory model pay for), so an
-        item that misses step k's bubbles computes its factor from the
-        saved step-k tensors inside step k+1's bubbles.
-
-        Returns None while blocked (inversion whose curvature items have
-        not all been assigned yet).
-        """
-        kind = item.trigger[0]
-        if kind in ("forward", "backward"):
-            _, s, m, pipe = item.trigger
-            replica = item.device % self.dp
-            rel = self._event_end.get((kind, s, m, pipe, replica))
-            if rel is None:
-                raise KeyError(
-                    f"no {kind} event for stage {s}, micro-batch {m}, "
-                    f"pipeline {pipe}, replica {replica}"
-                )
-            return rel - self.span if self.steady_state else rel
-        if kind == "items":
-            ends = []
-            for dep in item.trigger[1]:
-                dep_item = by_id[dep]
-                if not dep_item.assigned:
-                    return None
-                ends.append(dep_item.end)
-            return max(ends) if ends else 0.0
-        raise ValueError(f"unknown trigger {item.trigger!r}")
-
-    # -- feasibility --------------------------------------------------------------
-
-    def _feasible(self, remaining: float, room: float) -> bool:
-        """Can an item with ``remaining`` work start in ``room`` seconds?
-
-        A fragment (``room < remaining``) must leave both the fragment and
-        the leftover at least ``min_chunk`` (~one kernel); a full fit only
-        needs positive room.  Mirrors the original greedy rule exactly.
-        """
-        if room < remaining - _EPS:
-            return not (room < self.min_chunk - _EPS
-                        or remaining - room < self.min_chunk)
-        return room > _EPS
-
-    # -- filling -----------------------------------------------------------------
-
-    def _fill_device(self, device: int) -> int:
-        """Drain one device's queue; returns the number of steps used.
-
-        Readiness is indexed instead of rescanned:
-
-        * ``future_heap`` holds ready items ordered by ``(ready, pos)``;
-          ``now_heap`` holds items whose readiness has passed the cursor,
-          ordered by ``(-ready, pos)``.  The cursor only moves forward, so
-          each item migrates future -> now at most once.
-        * ``("items", ...)`` triggers keep a counter of unassigned deps
-          and a running max end; completing an item decrements its
-          dependents (no tuple re-walks).
-
-        At a cursor ``t`` inside a bubble ending at ``b1``, every already-
-        ready item starts at ``t``, so the greedy key ``(start, -ready,
-        pos)`` reduces to ``now_heap`` order; if no now-item is feasible,
-        the best candidate is the earliest feasible future item, which is
-        ``future_heap`` order.  Items infeasible only for the *current*
-        room (fragment would violate ``min_chunk``) are popped, stashed,
-        and re-pushed; they cannot be parked for the rest of the bubble,
-        because a shrinking room can turn a too-small leftover
-        (``remaining - room < min_chunk``) back into a legal split.
-        """
-        q = self.queues[device]
-        items = q.items
-        if not items:
-            return 0
-        by_id = q.by_id()
-        bubbles0 = bubble_intervals(
-            self.template.timeline,
-            device,
-            (0.0, self.span),
-            min_duration=self.min_bubble,
-        )
-        if not bubbles0:
-            raise RuntimeError(
-                f"device {device} has no bubbles to fill (span {self.span:.4f}s)"
-            )
-
-        pos_of = {item.iid: pos for pos, item in enumerate(items)}
-        ready = [0.0] * len(items)
-        dep_count = [0] * len(items)
-        dep_max_end = [0.0] * len(items)
-        dependents: dict[int, list[int]] = {}
-        future_heap: list[tuple[float, int]] = []  # (ready, pos)
-        now_heap: list[tuple[float, int]] = []  # (-ready, pos)
-
-        for pos, item in enumerate(items):
-            if item.trigger[0] == "items":
-                cnt = 0
-                mx = 0.0
-                for dep in item.trigger[1]:
-                    dpos = pos_of[dep]
-                    if items[dpos].assigned:
-                        end = items[dpos].end
-                        if end is not None and end > mx:
-                            mx = end
-                    else:
-                        cnt += 1
-                        dependents.setdefault(dpos, []).append(pos)
-                dep_count[pos] = cnt
-                dep_max_end[pos] = mx
-                if cnt == 0 and not item.assigned:
-                    ready[pos] = mx if item.trigger[1] else 0.0
-                    heapq.heappush(future_heap, (ready[pos], pos))
-            elif not item.assigned:
-                ready[pos] = self._ready_time(item, by_id)
-                heapq.heappush(future_heap, (ready[pos], pos))
-
-        remaining = len(items)
-        last_placed_duration = -1.0
-        for step in range(self.max_steps):
-            offset = step * self.span
-            for b0, b1 in ((a + offset, b + offset) for a, b in bubbles0):
-                t = b0
-                while True:
-                    if b1 - t <= _EPS:
-                        # Nothing can ever start here: a full fit needs
-                        # room > eps and a fragment needs room >= min_chunk.
-                        # (Common after a fragment fills the bubble to b1.)
-                        break
-                    while future_heap and future_heap[0][0] <= t:
-                        r, pos = heapq.heappop(future_heap)
-                        heapq.heappush(now_heap, (-r, pos))
-                    win_pos = -1
-                    win_ready = 0.0
-                    st = t
-                    room_now = b1 - t
-                    stash = []
-                    while now_heap:
-                        nr, pos = heapq.heappop(now_heap)
-                        item = items[pos]
-                        if item.assigned:
-                            continue
-                        if self._feasible(item.remaining, room_now):
-                            win_pos, win_ready = pos, -nr
-                            break
-                        stash.append((nr, pos))
-                    for entry in stash:
-                        heapq.heappush(now_heap, entry)
-                    if win_pos < 0:
-                        stash.clear()
-                        while future_heap:
-                            r, pos = future_heap[0]
-                            if r >= b1:
-                                break
-                            heapq.heappop(future_heap)
-                            item = items[pos]
-                            if item.assigned:
-                                continue
-                            if self._feasible(item.remaining, b1 - r):
-                                win_pos, win_ready, st = pos, r, r
-                                break
-                            stash.append((r, pos))
-                        for entry in stash:
-                            heapq.heappush(future_heap, entry)
-                    if win_pos < 0:
-                        break
-                    item = items[win_pos]
-                    piece = min(item.remaining, b1 - st)
-                    item.segments.append((st, st + piece))
-                    t = st + piece
-                    if item.assigned:
-                        remaining -= 1
-                        end = item.end
-                        for dpos in dependents.get(win_pos, ()):
-                            dep_count[dpos] -= 1
-                            if end > dep_max_end[dpos]:
-                                dep_max_end[dpos] = end
-                            if dep_count[dpos] == 0:
-                                ready[dpos] = dep_max_end[dpos]
-                                heapq.heappush(
-                                    future_heap, (ready[dpos], dpos))
-                    else:
-                        # Partial placement: the cursor has passed its
-                        # readiness, so it re-enters as a "now" item.
-                        heapq.heappush(now_heap, (-win_ready, win_pos))
-                if remaining == 0:
-                    return step + 1
-            if remaining == 0:
-                return step + 1
-            placed = sum(i.placed_duration for i in q.items)
-            if placed <= last_placed_duration + _EPS:
-                # No progress for a full step: items are permanently blocked.
-                stuck = [i.iid for i in q.items if not i.assigned]
-                raise RuntimeError(
-                    f"device {device}: no placement progress in step {step}; "
-                    f"stuck items: {stuck[:5]}"
-                )
-            last_placed_duration = placed
-        raise RuntimeError(
-            f"device {device}: {remaining} K-FAC items still unassigned after "
-            f"{self.max_steps} steps; bubbles too small for the work"
-        )
 
     def fill(self) -> AssignmentResult:
         """Assign every queue; the refresh interval is the slowest device.
 
+        A curvature item becomes ready at the end of its trigger event (a
+        zero-bubble input-grad pass satisfies "backward" triggers) and
+        stays ready afterwards: activations are held for A factors and
+        error signals are saved for B factors (what M_act and M_err^save
+        in the §3.3 memory model pay for).  An ``("items", ...)`` item is
+        ready when its dependencies are placed.
+
         Raises RuntimeError here — at assignment time, not when the result
         is later reported — if any item escaped placement.
         """
-        per_device: dict[int, int] = {}
-        for device in sorted(self.queues):
-            per_device[device] = self._fill_device(device)
-        unassigned = [
-            i.iid for q in self.queues.values() for i in q.items if not i.assigned
-        ]
+        # Imported here: repro.sweep imports the PipeFisher runner, which
+        # imports this module.
+        from repro.sweep.retime import fill_queues
+        from repro.sweep.template import compile_queues, trigger_index
+
+        timeline = self.template.timeline
+        events = timeline.events
+        ends = [e.end for e in events]
+        trigger_of = trigger_index([e.kind for e in events],
+                                   [e.meta for e in events], ends)
+        items = [item for dev in sorted(self.queues)
+                 for item in self.queues[dev].items]
+        code = {id(item): k for k, item in enumerate(items)}
+        compiled = compile_queues(self.queues, trigger_of, self.dp,
+                                  lambda item: code[id(item)])
+        fill = fill_queues(
+            compiled, [item.duration for item in items], ends,
+            lambda dev: bubble_intervals(timeline, dev, (0.0, self.span),
+                                         min_duration=self.min_bubble),
+            self.span, max_steps=self.max_steps, min_chunk=self.min_chunk,
+            steady_state=self.steady_state)
+        for dev, segments in fill.segments.items():
+            for item, segs in zip(self.queues[dev].items, segments):
+                item.segments = segs
+        unassigned = [i.iid for i in items if not i.assigned]
         if unassigned:
             raise RuntimeError(
                 f"fill left {len(unassigned)} item(s) unassigned: "
                 f"{unassigned[:5]}"
             )
-        refresh = max(per_device.values(), default=1)
+        refresh = max(fill.device_steps.values(), default=1)
         return AssignmentResult(
             queues=self.queues,
             refresh_steps=max(refresh, 1),
             span=self.span,
-            device_refresh_steps=per_device,
+            device_refresh_steps=fill.device_steps,
         )

@@ -1,15 +1,19 @@
 """Discrete-event execution of pipeline task graphs.
 
-Event-driven list scheduling: a global event heap holds task completions
-in simulated-time order; each device keeps a ready heap of its runnable
-tasks keyed by ``(priority, tid)``.  When a completion fires, it releases
-the finished task's in-flight slot, promotes dependents whose last
-dependency just ended, and wakes every device whose state changed; a woken
-idle device immediately starts its best *eligible* ready task.  The
-schedule-specific behaviour (GPipe's phase order, 1F1B's backward priority
-and in-flight limit, Chimera's injection order, interleaved-1F1B's chunk
-order) lives entirely in the tasks' ``priority`` tuples and in-flight
-metadata, so one executor serves every schedule.
+:func:`simulate_tasks` runs a list of :class:`~repro.pipeline.work.Task`
+objects and returns their timeline.  It lowers the graph with
+:func:`repro.sweep.template.compile_graph` and runs it through
+:func:`repro.sweep.retime.simulate_compiled`, the one python event loop
+(``repro/sweep/_native.c`` is its fuzzed C twin, used only by the sweep
+engine's batches).
+
+The loop is event-driven list scheduling: completions pop from a global
+event heap in simulated-time order; each device keeps a ready heap keyed
+by ``(priority, tid)``, and an idle device starts its best *eligible*
+ready task.  The schedule-specific behaviour (GPipe's phase order, 1F1B's
+backward priority and in-flight limit, Chimera's injection order,
+interleaved-1F1B's chunk order) lives entirely in the tasks' ``priority``
+tuples and in-flight metadata, so one executor serves every schedule.
 
 Eligibility (activation-memory admission control) uses two meta keys:
 
@@ -17,37 +21,21 @@ Eligibility (activation-memory admission control) uses two meta keys:
   only while fewer than ``limit`` micro-batches are in flight for that key.
 * ``inflight_release`` on the releasing task — the full BACKWARD, or the
   input-grad (BACKWARD_INPUT) half when the schedule splits the backward:
-  the slot is freed at that task's simulated *end* time (a forward
-  elsewhere can never be admitted at a simulated time before the task
-  that frees its slot has finished).  Zero-bubble weight-grad tasks
-  neither hold nor release slots: they consume saved tensors accounted
-  to the already-released micro-batch, so deferring them into bubbles
-  cannot deadlock admission.
+  the slot is freed at that task's simulated *end* time.  Zero-bubble
+  weight-grad tasks neither hold nor release slots.
 
 The run is deterministic: every tie — equal priorities, equal event
-times — is broken by task id or insertion order, never by hash order, so
+times — is broken by task id or dispatch order, never by hash order, so
 two simulations of the same graph produce identical timelines regardless
 of ``PYTHONHASHSEED``.
-
-Complexity is O(T log T) in the number of tasks (plus re-queueing of
-admission-blocked tasks), independent of the device count — the previous
-implementation re-scanned every device's whole ready pool per scheduling
-decision, which made ~100k-task architecture sweeps quadratic in practice
-(see ``benchmarks/test_executor_scaling.py``).
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.pipeline.work import Task, WorkKind
+from repro.pipeline.work import Task
 from repro.profiler.timeline import Timeline, TimelineEvent
-
-#: Two simulated instants closer than this are the same instant (guards
-#: float drift when equal end times are summed along different dep paths).
-_TIME_EPS = 1e-12
 
 
 @dataclass
@@ -65,153 +53,75 @@ class SimulationResult:
         return self.end_times[tid]
 
 
-def simulate_tasks(
-    tasks: list[Task],
-    num_devices: int,
-    start_time: float = 0.0,
-) -> SimulationResult:
+def simulate_tasks(tasks: list[Task], num_devices: int) -> SimulationResult:
     """Simulate a task graph and return the resulting timeline.
 
-    Raises ``RuntimeError`` on dependency cycles or unknown deps.
+    Raises ``ValueError`` on duplicate task ids and ``RuntimeError`` on
+    unknown deps or a deadlock (dependency cycle or unsatisfiable
+    in-flight limits).
     """
-    by_id: dict[str, Task] = {}
-    for t in tasks:
-        if t.tid in by_id:
-            raise ValueError(f"duplicate task id {t.tid}")
-        by_id[t.tid] = t
-    for t in tasks:
-        for d in t.deps:
-            if d not in by_id:
-                raise RuntimeError(f"task {t.tid} depends on unknown task {d}")
+    # Imported here: repro.sweep imports the PipeFisher runner, which
+    # imports this module.
+    from repro.sweep.retime import simulate_compiled
+    from repro.sweep.template import compile_graph
 
-    dependents: dict[str, list[str]] = defaultdict(list)
-    missing: dict[str, int] = {}
-    for t in tasks:
-        missing[t.tid] = len(t.deps)
-        for d in t.deps:
-            dependents[d].append(t.tid)
-
-    device_free: dict[int, float] = defaultdict(lambda: start_time)
-    ready: dict[int, list[tuple]] = defaultdict(list)  # heap of (prio, tid)
-    #: Admission-blocked tasks, per inflight key; re-queued on release.
-    parked: dict = defaultdict(list)
-    start_times: dict[str, float] = {}
-    end_times: dict[str, float] = {}
-    inflight: dict = defaultdict(int)
-    peak_inflight: dict = defaultdict(int)
+    g = compile_graph(tasks, num_devices)
+    sim = simulate_compiled(g, None, task_durs=[t.duration for t in tasks])
+    start, end = sim.start, sim.end
     timeline = Timeline(num_devices)
-    remaining = len(tasks)
-
-    #: (end_time, insertion_seq, tid) — seq keeps equal-time pops FIFO.
-    events: list[tuple[float, int, str]] = []
-    seq = 0
-
-    def promote(tid: str, now: float, dirty: set[int]) -> None:
-        """All deps of ``tid`` are done as of ``now``: make it runnable.
-
-        Control tasks (device None) complete instantly, cascading through
-        their dependents; device tasks enter their device's ready heap.
-        """
-        nonlocal remaining
-        stack = [tid]
-        while stack:
-            cur = stack.pop()
-            t = by_id[cur]
-            if t.device is None:
-                start_times[cur] = now
-                end_times[cur] = now
-                remaining -= 1
-                for dep_id in dependents[cur]:
-                    missing[dep_id] -= 1
-                    if missing[dep_id] == 0:
-                        stack.append(dep_id)
-            else:
-                heapq.heappush(ready[t.device], (t.priority, cur))
-                dirty.add(t.device)
-
-    def finish(tid: str, end: float, dirty: set[int]) -> None:
-        """Apply a completion's effects at its simulated end time."""
-        nonlocal remaining
-        end_times[tid] = end
-        remaining -= 1
-        t = by_id[tid]
-        dirty.add(t.device)
-        rel = t.meta.get("inflight_release")
-        if rel is not None:
-            inflight[rel] -= 1
-            if parked[rel]:
-                # A slot freed: blocked tasks compete again at their devices.
-                for prio, blocked_tid in parked[rel]:
-                    dev = by_id[blocked_tid].device
-                    heapq.heappush(ready[dev], (prio, blocked_tid))
-                    dirty.add(dev)
-                parked[rel].clear()
-        for dep_id in dependents[tid]:
-            missing[dep_id] -= 1
-            if missing[dep_id] == 0:
-                promote(dep_id, end, dirty)
-
-    def dispatch(dev: int, now: float) -> None:
-        """Start the device's best eligible ready task, if it is idle."""
-        nonlocal seq
-        if device_free[dev] > now + _TIME_EPS:
-            return
-        heap = ready[dev]
-        while heap:
-            prio, tid = heap[0]
-            task = by_id[tid]
-            key = task.meta.get("inflight_key")
-            if key is not None and inflight[key] >= task.meta["inflight_limit"]:
-                heapq.heappop(heap)
-                parked[key].append((prio, tid))
-                continue  # admission-blocked; a release will re-queue it
-            heapq.heappop(heap)
-            if key is not None:
-                inflight[key] += 1
-                peak_inflight[key] = max(peak_inflight[key], inflight[key])
-            t_end = now + task.duration
-            device_free[dev] = t_end
-            start_times[tid] = now
-            timeline.add(
-                TimelineEvent(dev, task.kind.value, now, t_end, task.label, task.meta)
-            )
-            heapq.heappush(events, (t_end, seq, tid))
-            seq += 1
-            return
-
-    # Seed: zero-dep tasks are runnable at start_time; control chains that
-    # are complete from the outset collapse immediately.
-    dirty: set[int] = set()
-    for t in tasks:
-        if missing[t.tid] == 0:
-            promote(t.tid, start_time, dirty)
-    for dev in sorted(dirty):
-        dispatch(dev, start_time)
-
-    while events:
-        now = events[0][0]
-        dirty = set()
-        # Drain every completion at this instant before any device picks,
-        # so simultaneous releases/readiness are all visible to the pick.
-        while events and events[0][0] <= now + _TIME_EPS:
-            _, _, tid = heapq.heappop(events)
-            finish(tid, now, dirty)
-        for dev in sorted(dirty):
-            dispatch(dev, now)
-
-    if remaining > 0:
-        stuck = [t for t in by_id.values() if t.tid not in end_times]
-        raise RuntimeError(
-            f"deadlock: {len(stuck)} tasks cannot run "
-            f"(first few: {[t.tid for t in stuck[:5]]}); check deps and "
-            "in-flight limits"
-        )
-
-    makespan = max(end_times.values(), default=start_time)
+    for i in sim.ev_order:
+        t = tasks[i]
+        timeline.add(TimelineEvent(t.device, g.kind[i], start[i],
+                                   sim.ev_end[i], t.label, t.meta))
     return SimulationResult(
         timeline=timeline,
-        start_times=start_times,
-        end_times=end_times,
-        makespan=makespan,
-        peak_inflight=dict(peak_inflight),
+        start_times={t.tid: start[i] for i, t in enumerate(tasks)},
+        end_times={t.tid: end[i] for i, t in enumerate(tasks)},
+        makespan=sim.makespan,
+        peak_inflight=_peak_inflight(tasks, sim),
     )
+
+
+def _peak_inflight(tasks: list[Task], sim) -> dict:
+    """Replay admissions and releases over a finished simulation.
+
+    A forward is admitted at its start; its slot is freed at the
+    releasing task's completion-processing time (``sim.end``).  At one
+    instant the event loop drains completions before it dispatches, so a
+    release there precedes the admissions.  A zero-duration releasing
+    task is the exception: it frees its slot only after the rest of its
+    own dispatch batch, and a batch is dispatched in ascending device
+    order, so one instant's dispatches split into batches wherever the
+    device index stops increasing.  A batch that starts on a higher device
+    than the previous one ended on looks like its continuation, so with
+    zero-duration releasing tasks (no schedule builder emits them) the
+    replayed peak can overcount.
+    """
+    start, end = sim.start, sim.end
+    ops = []
+    batch = 0
+    prev = None
+    for pos, i in enumerate(sim.ev_order):
+        t = tasks[i]
+        if prev is not None and (start[i] != start[prev]
+                                 or t.device <= tasks[prev].device):
+            batch += 1
+        prev = i
+        key = t.meta.get("inflight_key")
+        if key is not None:
+            ops.append((start[i], 1, batch, 0, pos, 1, key))
+        rel = t.meta.get("inflight_release")
+        if rel is not None:
+            if start[i] < end[i]:
+                ops.append((end[i], 0, 0, 0, pos, -1, rel))
+            else:
+                ops.append((end[i], 1, batch, 1, pos, -1, rel))
+    # No two ops agree up to ``pos``, so the sort never compares keys.
+    ops.sort()
+    inflight: dict = {}
+    peak: dict = {}
+    for *_, delta, key in ops:
+        inflight[key] = inflight.get(key, 0) + delta
+        if delta > 0:
+            peak[key] = max(peak.get(key, 0), inflight[key])
+    return peak

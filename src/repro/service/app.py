@@ -63,6 +63,11 @@ DEFAULT_INLINE_LIMIT = 32
 #: Engine slots when neither ``engine`` nor ``engine_pool`` is given.
 DEFAULT_ENGINE_POOL = 4
 
+#: Largest request body read, in bytes.  A ``/sweep`` grid at the
+#: ``MAX_UNITS`` ceiling is tens of KiB; a bigger declared length answers
+#: 413 instead of pinning a handler thread on ``rfile.read``.
+MAX_BODY_BYTES = 1 << 20
+
 
 class _EngineSlot:
     """One engine plus the lock serializing all work routed to it."""
@@ -440,10 +445,12 @@ class _Handler(BaseHTTPRequestHandler):
     def _content_length(self) -> int:
         """The request's ``Content-Length``, 0 when absent.
 
-        A non-integer or negative value answers 400 and closes the
-        connection: the body's extent is unknown, so keep-alive cannot
-        resync (and ``rfile.read(-1)`` would block until the client
-        hangs up).
+        A non-integer or negative value answers 400 and one above
+        :data:`MAX_BODY_BYTES` answers 413; both close the connection
+        unread: keep-alive cannot resync past a body of unknown extent
+        (``rfile.read(-1)`` would block until the client hangs up), and
+        reading an oversized one would hold the thread until the client
+        sends it all.
         """
         text = self.headers.get("Content-Length") or "0"
         try:
@@ -453,6 +460,11 @@ class _Handler(BaseHTTPRequestHandler):
         if length < 0:
             self.close_connection = True
             raise ServiceError(400, f"invalid Content-Length: {text!r}")
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ServiceError(
+                413, f"request body of {length} bytes exceeds the "
+                     f"{MAX_BODY_BYTES}-byte limit")
         return length
 
     def _body(self) -> dict:

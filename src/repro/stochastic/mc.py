@@ -25,7 +25,6 @@ try:
 except ImportError:  # pragma: no cover - numpy is a de-facto hard dep
     np = None
 
-from repro.profiler.utilization import COLOR_DENSITY
 from repro.stochastic.model import StochasticModel
 from repro.stochastic.perturb import (
     perturbed_durations,
@@ -33,6 +32,7 @@ from repro.stochastic.perturb import (
     table_durations,
 )
 from repro.stochastic.stats import Summary, summarize
+from repro.sweep.engine import _windowed_utilization
 from repro.sweep.retime import device_bubbles, simulate_compiled
 
 #: Replicate metrics every summary reduces (keys of each replicate dict).
@@ -56,27 +56,6 @@ def compiled_bubble_fraction(graph, sim) -> float:
         for a, b in device_bubbles(graph, sim, dev, span, 0.0):
             idle += b - a
     return idle / (graph.num_devices * span)
-
-
-def compiled_utilization(graph, sim) -> float:
-    """Density-weighted busy fraction over ``[0, makespan]``.
-
-    The same fold as the engine's windowed utilization, applied to a
-    perturbed timing.
-    """
-    t1 = sim.makespan
-    total = 0.0
-    start = sim.start
-    end = sim.ev_end
-    kind = graph.kind
-    density = COLOR_DENSITY
-    for i in sim.ev_order:
-        e = end[i]
-        s = start[i]
-        if e <= 0.0 or s >= t1:
-            continue
-        total += (min(e, t1) - max(s, 0.0)) * density.get(kind[i], 1.0)
-    return total / (graph.num_devices * t1)
 
 
 def _downtime(restarts) -> float:
@@ -120,7 +99,7 @@ def replicate_from_point(point, nominal, model: StochasticModel,
         "pf_span": pf.makespan,
         "bubble_fraction": compiled_bubble_fraction(template.base_graph,
                                                     base),
-        "utilization": compiled_utilization(template.base_graph, base),
+        "utilization": _windowed_utilization(template.base_graph, base),
         "span_degradation": base.makespan / nominal.base.makespan,
         "nominal_span": nominal.base.makespan,
         "nominal_pf_span": nominal.pf.makespan,

@@ -635,7 +635,10 @@ def python_evaluation(template: ScheduleTemplate, dur_key: tuple,
 
 
 def _windowed_utilization(graph, sim: CompiledSim) -> float:
-    """Replicates ``utilization(timeline, (0.0, makespan))`` exactly."""
+    """Replicates ``utilization(timeline, (0.0, makespan))`` exactly.
+
+    Also the Monte Carlo replicates' utilization of a perturbed timing.
+    """
     t1 = sim.makespan
     total = 0.0
     start = sim.start

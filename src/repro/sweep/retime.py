@@ -1,24 +1,27 @@
-"""Re-timing a compiled schedule template for one sweep point.
+"""The python event loop and bubble filler, over compiled arrays.
 
-The pure-python reference the native core (:mod:`repro.sweep.batch`) is
-fuzzed against, and the fallback for every row the core cannot serve.
+These are the one python implementation of each algorithm;
+``_native.c`` (driven through :mod:`repro.sweep.batch`) is their
+accelerated twin, fuzzed against them, and rows the C core cannot serve
+fall back here.
 
-:func:`simulate_compiled` is the event-driven executor of
-:func:`repro.pipeline.executor.simulate_tasks`, ported onto a
-:class:`~repro.sweep.template.CompiledGraph`'s integer arrays.  Every
-float operation and tie-break is replicated in the reference's order
-(ready heaps compare precomputed ``order_key``s that encode the
-reference's ``(priority, tid)`` order), so times match bit for bit.  It
-optionally re-times with an explicit per-task duration array and a
-:class:`DeviceFaults` failure/restart plan — the stochastic replicate
-path (:mod:`repro.stochastic`), which perturbs durations per device and
-injects restart-from-checkpoint downtime without rebuilding the graph.
+:func:`simulate_compiled` is the discrete-event executor behind
+:func:`repro.pipeline.executor.simulate_tasks` (whose module docstring
+states the scheduling semantics), run over a
+:class:`~repro.sweep.template.CompiledGraph`'s integer arrays: ready
+heaps compare precomputed ``order_key``s that encode the ``(priority,
+tid)`` order.  It optionally re-times with an explicit per-task duration
+array and a :class:`DeviceFaults` failure/restart plan — the stochastic
+replicate path (:mod:`repro.stochastic`), which perturbs durations per
+device and injects restart-from-checkpoint downtime without rebuilding
+the graph.
 
-:func:`fill_compiled` ports the bubble filler.  It keeps the reference
-``BubbleFiller``'s candidate *visit order* (ready/future sets walked in
-exactly the heap-pop order) but holds the sets as sorted lists, which
-turns the reference's pop/stash/re-push churn at every bubble boundary
-into plain iteration.
+:func:`fill_queues` is the §3.1 greedy bubble filler behind
+:class:`repro.pipefisher.assignment.BubbleFiller`; :func:`fill_compiled`
+runs it over a schedule template's queues and pf-graph bubbles.  Each
+device's candidates are held as two sorted lists — "now" items (ready
+before the cursor) by ``(-ready, pos)`` and "future" items by ``(ready,
+pos)`` — so the greedy key ``(start, -ready, pos)`` is a walk over them.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ import heapq
 from bisect import insort
 from dataclasses import dataclass
 
-from repro.sweep.template import CompiledGraph, ScheduleTemplate
+from repro.sweep.template import CompiledGraph, CompiledQueues, ScheduleTemplate
 
-#: Same tie epsilon as ``repro.pipeline.executor``.
+#: Two simulated instants closer than this are the same instant (guards
+#: float drift when equal end times are summed along different dep paths).
 _TIME_EPS = 1e-12
-#: Same placement epsilon as ``repro.pipefisher.assignment``.
+#: Placement epsilon of the bubble filler.
 _EPS = 1e-9
 
 
@@ -63,10 +67,10 @@ class CompiledSim:
     ``end`` holds the *completion-processing* times (the executor may
     batch completions within its 1e-12 tie epsilon, overwriting a task's
     end with the batch instant — dependency propagation and the makespan
-    use these, exactly like the reference's ``end_times``).  ``ev_end``
+    use these; they are ``SimulationResult.end_times``).  ``ev_end``
     holds each task's *dispatch-computed* ``start + duration``, which is
-    what the reference records on its timeline events; bubbles, colored
-    time, and K-FAC trigger readiness all read event ends.
+    what timeline events record; bubbles, colored time, and K-FAC trigger
+    readiness all read event ends.
 
     ``restarts`` holds one ``(device, task, fail_time, resume_time,
     lost_work)`` tuple per fault the simulation replayed (empty for
@@ -94,11 +98,9 @@ def simulate_compiled(
     ``durs[g.dur_code[i]]`` is task i's duration; ``task_durs``, when
     given, overrides the table with an explicit per-task duration array
     (the stochastic perturbation path — per-device jitter makes durations
-    task-dependent).  With neither override nor faults the result is
-    bit-identical to the reference ``simulate_tasks``: same heap orders,
-    same simultaneous-completion draining, same in-flight
-    admission/parking, same float additions (``task_durs[i]`` is
-    precomputed as exactly ``durs[dur_code[i]]``).
+    task-dependent).  The native core reproduces the result bit for bit:
+    same heap orders, same simultaneous-completion draining, same
+    in-flight admission/parking, same float additions.
 
     ``faults`` injects the failure/restart semantics of
     :class:`DeviceFaults`: each dispatch folds the device's pending
@@ -128,8 +130,8 @@ def simulate_compiled(
     parked: list[list] = [[] for _ in range(g.n_inflight_keys)]
     inflight = [0] * g.n_inflight_keys
     ev_order: list[int] = []
+    #: (end time, dispatch number, task): equal-time pops stay FIFO.
     events: list[tuple[float, int, int]] = []
-    seq = 0
     remaining = n
 
     if faults is not None:
@@ -204,67 +206,68 @@ def simulate_compiled(
                 heappush(ready[device[cur]], (order_key[cur], cur))
                 dirty.add(device[cur])
 
-    def finish(idx: int, t_end: float, dirty: set) -> None:
-        nonlocal remaining
-        end[idx] = t_end
-        remaining -= 1
-        dirty.add(device[idx])
-        rel = rkey[idx]
-        if rel >= 0:
-            inflight[rel] -= 1
-            if parked[rel]:
-                for entry in parked[rel]:
-                    heappush(ready[device[entry[1]]], entry)
-                    dirty.add(device[entry[1]])
-                parked[rel].clear()
-        for dep in dependents[idx]:
-            missing[dep] -= 1
-            if missing[dep] == 0:
-                promote(dep, t_end, dirty)
-
-    def dispatch(dev: int, now: float) -> None:
-        nonlocal seq
-        if device_free[dev] > now + _TIME_EPS:
-            return
-        heap = ready[dev]
-        while heap:
-            entry = heap[0]
-            idx = entry[1]
-            key = ikey[idx]
-            if key >= 0 and inflight[key] >= ilim[idx]:
-                heappop(heap)
-                parked[key].append(entry)
-                continue
-            heappop(heap)
-            if key >= 0:
-                inflight[key] += 1
-            if faults is None:
-                st = now
-                t_end = now + tdur[idx]
-            else:
-                st, t_end = run_with_faults(dev, now, tdur[idx], idx)
-            device_free[dev] = t_end
-            start[idx] = st
-            ev_end[idx] = t_end
-            ev_order.append(idx)
-            heappush(events, (t_end, seq, idx))
-            seq += 1
-            return
-
     dirty: set[int] = set()
     for i in g.zero_dep:
         promote(i, 0.0, dirty)
-    for dev in sorted(dirty):
-        dispatch(dev, 0.0)
-
-    while events:
-        now = events[0][0]
-        dirty = set()
-        while events and events[0][0] <= now + _TIME_EPS:
-            _, _, idx = heappop(events)
-            finish(idx, now, dirty)
+    now = 0.0
+    horizon = _TIME_EPS
+    while True:
+        # Every idle device whose state changed starts its best eligible
+        # ready task.
         for dev in sorted(dirty):
-            dispatch(dev, now)
+            if device_free[dev] > horizon:
+                continue
+            heap = ready[dev]
+            while heap:
+                entry = heappop(heap)
+                idx = entry[1]
+                key = ikey[idx]
+                if key >= 0:
+                    if inflight[key] >= ilim[idx]:
+                        # Admission-blocked; a release re-queues it.
+                        parked[key].append(entry)
+                        continue
+                    inflight[key] += 1
+                if faults is None:
+                    st = now
+                    t_end = now + tdur[idx]
+                else:
+                    st, t_end = run_with_faults(dev, now, tdur[idx], idx)
+                device_free[dev] = t_end
+                start[idx] = st
+                ev_end[idx] = t_end
+                heappush(events, (t_end, len(ev_order), idx))
+                ev_order.append(idx)
+                break
+        if not events:
+            break
+        now = events[0][0]
+        horizon = now + _TIME_EPS
+        dirty = set()
+        # Drain every completion at this instant before any device picks,
+        # so simultaneous releases/readiness are all visible to the pick.
+        while events and events[0][0] <= horizon:
+            idx = heappop(events)[2]
+            end[idx] = now
+            remaining -= 1
+            dirty.add(device[idx])
+            rel = rkey[idx]
+            if rel >= 0:
+                inflight[rel] -= 1
+                if parked[rel]:
+                    for entry in parked[rel]:
+                        heappush(ready[device[entry[1]]], entry)
+                        dirty.add(device[entry[1]])
+                    parked[rel].clear()
+            for dep in dependents[idx]:
+                missing[dep] -= 1
+                if missing[dep] == 0:
+                    dev = device[dep]
+                    if dev is None:
+                        promote(dep, now, dirty)
+                    else:
+                        heappush(ready[dev], (order_key[dep], dep))
+                        dirty.add(dev)
 
     if remaining > 0:
         raise RuntimeError(
@@ -272,7 +275,7 @@ def simulate_compiled(
             "in-flight limits"
         )
     return CompiledSim(start=start, end=end, ev_end=ev_end,
-                       ev_order=ev_order, makespan=max(end),
+                       ev_order=ev_order, makespan=max(end, default=0.0),
                        restarts=tuple(restarts) if faults is not None else ())
 
 
@@ -318,7 +321,12 @@ def device_bubbles(
 
 
 def _feasible(remaining: float, room: float, min_chunk: float) -> bool:
-    """Port of ``BubbleFiller._feasible`` (same epsilons, same order)."""
+    """Can an item with ``remaining`` work start in ``room`` seconds?
+
+    A fragment (``room < remaining``) must leave both the fragment and
+    the leftover at least ``min_chunk`` (~one kernel); a full fit only
+    needs positive room.
+    """
     if room < remaining - _EPS:
         return not (room < min_chunk - _EPS or remaining - room < min_chunk)
     return room > _EPS
@@ -343,32 +351,58 @@ def fill_compiled(
     min_bubble: float = 1e-5,
     min_chunk: float = 2e-3,
 ) -> CompiledFill:
-    """Drain every device's compiled queue into the timing's bubbles.
+    """Drain a template's K-FAC queues into one timing's bubbles.
 
-    A faithful port of ``BubbleFiller._fill_device`` (steady-state mode,
-    the runner's configuration).  The "now" candidates are kept sorted by
-    ``(-ready, pos)`` and the "future" candidates by ``(ready, pos)`` —
-    the exact orders the reference's heaps pop in — so walking the lists
-    visits candidates in the reference order without its stash/re-push
-    cycles, and placements come out bit-identical (each item's placed
-    total is the same left-fold of segment lengths the reference's
-    ``placed_duration`` property computes).
+    Steady-state readiness (the runner's configuration) against the pf
+    graph's bubbles and event ends; ``qdurs`` is the template's
+    per-point K-FAC duration table.
     """
     g = template.pf_graph
     span = sim.makespan
-    end_of = sim.ev_end
+    return fill_queues(
+        template.queues, qdurs, sim.ev_end,
+        lambda dev: device_bubbles(g, sim, dev, span, min_bubble),
+        span, max_steps=max_steps, min_chunk=min_chunk)
+
+
+def fill_queues(
+    queues: CompiledQueues,
+    qdurs,
+    trigger_end: list[float],
+    bubbles_of,
+    span: float,
+    max_steps: int = 64,
+    min_chunk: float = 2e-3,
+    steady_state: bool = True,
+) -> CompiledFill:
+    """Greedily place every device's queue into its repeating bubbles.
+
+    Item ``pos`` of a device queue has duration ``qdurs[codes[pos]]``.  A
+    forward/backward-triggered item is ready at
+    ``trigger_end[trig[pos]]``, minus ``span`` under ``steady_state``
+    (the trigger already fired in the previous step, whose saved tensors
+    the item may use); an ``("items", ...)`` item is ready when its last
+    dependency ends, or at 0.0 if it has none.  ``bubbles_of(dev)`` gives
+    the device's step-0 bubbles; step ``k`` reuses them shifted by
+    ``k * span``.  At each bubble cursor the winner is the feasible item
+    with the smallest ``(start, -ready, pos)``; an item too long for the
+    bubble is split, and each piece must respect ``min_chunk``.
+
+    Raises RuntimeError when a device with work has no bubbles, makes no
+    progress for a whole step, or needs more than ``max_steps`` steps.
+    """
     seg_out: dict[int, list[list[tuple[float, float]]]] = {}
     steps_out: dict[int, int] = {}
 
-    for dev in sorted(template.queues.devices):
-        dq = template.queues.devices[dev]
+    for dev in sorted(queues.devices):
+        dq = queues.devices[dev]
         n = len(dq.items)
         segments: list[list[tuple[float, float]]] = [[] for _ in range(n)]
         seg_out[dev] = segments
         if n == 0:
             steps_out[dev] = 0
             continue
-        bubbles0 = device_bubbles(g, sim, dev, span, min_bubble)
+        bubbles0 = bubbles_of(dev)
         if not bubbles0:
             raise RuntimeError(
                 f"device {dev} has no bubbles to fill (span {span:.4f}s)"
@@ -379,7 +413,6 @@ def fill_compiled(
         dependents = dq.dependents
         dep_count = [0] * n
         dep_max_end = [0.0] * n
-        #: Sorted candidate sets replacing the reference's heaps.
         future: list[tuple[float, int]] = []       # (ready, pos) ascending
         now: list[tuple[float, int]] = []          # (-ready, pos) ascending
 
@@ -388,9 +421,12 @@ def fill_compiled(
         for pos in range(n):
             ti = trig[pos]
             if ti >= 0:
-                future.append((end_of[ti] - span, pos))
-            else:
+                ready = trigger_end[ti]
+                future.append((ready - span if steady_state else ready, pos))
+            elif items[pos].dep_positions:
                 dep_count[pos] = len(items[pos].dep_positions)
+            else:
+                future.append((0.0, pos))
         future.sort()
 
         remaining = n
@@ -461,7 +497,7 @@ def fill_compiled(
                     elif from_future:
                         # Partial placement from the future set: the
                         # cursor has passed its readiness, so it re-enters
-                        # as a "now" candidate (reference re-push).
+                        # as a "now" candidate.
                         del future[win_at]
                         insort(now, (-win_ready, win_pos))
                 if remaining == 0:

@@ -12,13 +12,14 @@ duration table plus :func:`simulate_compiled` / ``fill_compiled`` in
 :mod:`repro.sweep.retime` — no string formatting, no dict building, no
 dataclass graph construction.
 
-Compiled runs are **bit-identical** to :func:`repro.pipeline.executor.simulate_tasks`
-and :class:`repro.pipefisher.assignment.BubbleFiller` on the same
-configuration: every float operation (additions along dependency chains,
-tie-epsilon comparisons, min/max clips) is replicated in the same order,
-and every tie-break (priority tuples, then task-id order, here as
-precomputed ranks) is preserved.  ``tests/sweep/test_engine_equivalence.py``
-asserts this across every schedule family.
+The lowerings here are shared with the per-run path:
+:func:`repro.pipeline.executor.simulate_tasks` runs every task list
+through :func:`compile_graph`, and
+:class:`repro.pipefisher.assignment.BubbleFiller` lowers its queues with
+:func:`compile_queues`, so a template point and ``PipeFisherRun.execute``
+run the same loops over the same arrays.
+``tests/sweep/test_engine_equivalence.py`` asserts their reports are
+equal across every schedule family.
 """
 
 from __future__ import annotations
@@ -141,9 +142,6 @@ class CompiledGraph:
     zero_dep: list[int]           #: tasks with no deps, in build order
     #: Occupying (bubble-relevant) task indices per device, build order.
     occupying_by_device: list[list[int]]
-    #: (kind, stage, micro_batch, pipeline, replica) -> task index, for
-    #: resolving K-FAC forward/backward triggers without timeline scans.
-    trigger_idx: dict[tuple, int]
 
 
 def _pack_order_keys(tasks: list[Task], rank: list[int]) -> list:
@@ -170,7 +168,11 @@ def _pack_order_keys(tasks: list[Task], rank: list[int]) -> list:
 
 
 def compile_graph(tasks: list[Task], num_devices: int) -> CompiledGraph:
-    """Lower a built task graph to arrays (validates like the executor)."""
+    """Lower a task graph to arrays.
+
+    Raises ``ValueError`` on a duplicate task id and ``RuntimeError`` on
+    a dependency on an unknown task.
+    """
     by_id: dict[str, int] = {}
     for i, t in enumerate(tasks):
         if t.tid in by_id:
@@ -201,8 +203,8 @@ def compile_graph(tasks: list[Task], num_devices: int) -> CompiledGraph:
     inflight_key = [-1] * n
     inflight_limit = [0] * n
     release_key = [-1] * n
-    trigger_idx: dict[tuple, int] = {}
     occupying_by_device: list[list[int]] = [[] for _ in range(num_devices)]
+    kind = [t.kind.value for t in tasks]
     for i, t in enumerate(tasks):
         key = t.meta.get("inflight_key")
         if key is not None:
@@ -211,31 +213,21 @@ def compile_graph(tasks: list[Task], num_devices: int) -> CompiledGraph:
         rel = t.meta.get("inflight_release")
         if rel is not None:
             release_key[i] = key_id(rel)
-        if t.device is not None and t.kind.value in OCCUPYING_KINDS:
+        if t.device is not None and kind[i] in OCCUPYING_KINDS:
             occupying_by_device[t.device].append(i)
-        if t.kind in (WorkKind.FORWARD, WorkKind.BACKWARD,
-                      WorkKind.BACKWARD_INPUT):
-            # A split backward's input-grad end *is* the "backward"
-            # trigger event (mirrors ``BubbleFiller``'s canonicalization).
-            trig_kind = ("backward" if t.kind is WorkKind.BACKWARD_INPUT
-                         else t.kind.value)
-            trigger_idx[(
-                trig_kind,
-                t.meta["stage"],
-                t.meta["micro_batch"],
-                t.meta.get("pipeline"),
-                t.meta.get("replica", 0),
-            )] = i
 
     return CompiledGraph(
         num_devices=num_devices,
         n=n,
         device=[t.device for t in tasks],
-        kind=[t.kind.value for t in tasks],
+        kind=kind,
         label=[t.label for t in tasks],
         meta=[t.meta for t in tasks],
         order_key=_pack_order_keys(tasks, rank),
-        dur_code=[_KIND_TO_DUR[t.kind] for t in tasks],
+        # Kinds no schedule builder emits (recompute, K-FAC work) get
+        # N_DUR_CODES, which no duration table has: such graphs re-time
+        # only through explicit per-task durations.
+        dur_code=[_KIND_TO_DUR.get(t.kind, N_DUR_CODES) for t in tasks],
         ndeps=ndeps,
         dependents=dependents,
         inflight_key=inflight_key,
@@ -244,7 +236,6 @@ def compile_graph(tasks: list[Task], num_devices: int) -> CompiledGraph:
         n_inflight_keys=len(key_ids),
         zero_dep=[i for i in range(n) if ndeps[i] == 0],
         occupying_by_device=occupying_by_device,
-        trigger_idx=trigger_idx,
     )
 
 
@@ -262,8 +253,9 @@ class CompiledItem:
     pipeline: str | None
     dur_code: int
     trigger: tuple                #: original trigger tuple (for reports)
-    #: For forward/backward triggers: index of the pf-graph task whose end
-    #: is the readiness event.  For "items" triggers: -1.
+    #: For forward/backward triggers: index of the task (in a template,
+    #: of the pf graph) whose end is the readiness event.  For "items"
+    #: triggers: -1.
     trigger_task: int
     #: For "items" triggers: positions (within the device queue) of the
     #: items that must be assigned first.
@@ -279,7 +271,7 @@ class DeviceQueue:
     items: list[CompiledItem]
     #: Parallel arrays the compiled filler reads (no attribute access).
     codes: list[int]              #: duration code per item
-    trig: list[int]               #: pf-graph trigger task idx, -1 if deps
+    trig: list[int]               #: trigger task idx, -1 for "items"
     dependents: dict[int, list[int]]
 
 
@@ -305,6 +297,90 @@ class ScheduleTemplate:
     timings: object = field(default=None, repr=False)
 
 
+def trigger_index(kinds, metas, ends=None) -> dict[tuple, int]:
+    """Index the tasks whose ends make K-FAC items ready.
+
+    Maps ``(kind, stage, micro_batch, pipeline, replica)`` — an item's
+    forward/backward trigger plus the replica it runs on — to a task
+    index.  A split backward's input-grad task satisfies "backward"
+    triggers: a B factor needs the output gradient, which the input-grad
+    pass produces (weight-grads consume it).  When several tasks share a
+    key, the latest-ending one wins given ``ends``, else the last one.
+    """
+    index: dict[tuple, int] = {}
+    for i, (kind, meta) in enumerate(zip(kinds, metas)):
+        if kind == "backward_input":
+            kind = "backward"
+        elif kind not in ("forward", "backward"):
+            continue
+        key = (kind, meta["stage"], meta["micro_batch"],
+               meta.get("pipeline"), meta.get("replica", 0))
+        j = index.get(key)
+        if j is None or ends is None or ends[i] > ends[j]:
+            index[key] = i
+    return index
+
+
+def compile_queues(queues: dict, trigger_of: dict[tuple, int], dp: int,
+                   dur_code) -> CompiledQueues:
+    """Lower per-device K-FAC inventories to the filler's arrays.
+
+    ``queues`` maps device -> :class:`~repro.pipefisher.workqueue.KFACWorkQueue`.
+    A forward/backward trigger resolves through ``trigger_of`` (see
+    :func:`trigger_index`) for the replica ``item.device % dp``;
+    ``dur_code(item)`` is the item's index into the duration table the
+    filler is given.
+    """
+    devices: dict[int, DeviceQueue] = {}
+    for dev in sorted(queues):
+        items = queues[dev].items
+        pos_of = {item.iid: pos for pos, item in enumerate(items)}
+        dev_items: list[CompiledItem] = []
+        dev_deps: dict[int, list[int]] = {}
+        for pos, item in enumerate(items):
+            kind = item.trigger[0]
+            if kind == "items":
+                dep_positions = tuple(pos_of[d] for d in item.trigger[1])
+                trigger_task = -1
+                for dpos in dep_positions:
+                    dev_deps.setdefault(dpos, []).append(pos)
+            elif kind in ("forward", "backward"):
+                _, s, m, pipe = item.trigger
+                replica = item.device % dp
+                dep_positions = ()
+                trigger_task = trigger_of.get((kind, s, m, pipe, replica))
+                if trigger_task is None:
+                    raise KeyError(
+                        f"no {kind} event for stage {s}, micro-batch {m}, "
+                        f"pipeline {pipe}, replica {replica}"
+                    )
+            else:
+                raise ValueError(f"unknown trigger {item.trigger!r}")
+            dev_items.append(
+                CompiledItem(
+                    iid=item.iid,
+                    device=item.device,
+                    kind=item.kind,
+                    factor=item.factor,
+                    stage=item.stage,
+                    block=item.block,
+                    micro_batch=item.micro_batch,
+                    pipeline=item.pipeline,
+                    dur_code=dur_code(item),
+                    trigger=item.trigger,
+                    trigger_task=trigger_task,
+                    dep_positions=dep_positions,
+                )
+            )
+        devices[dev] = DeviceQueue(
+            items=dev_items,
+            codes=[it.dur_code for it in dev_items],
+            trig=[it.trigger_task for it in dev_items],
+            dependents=dev_deps,
+        )
+    return CompiledQueues(devices=devices)
+
+
 def build_template(
     key: TemplateKey,
     base_cfg: PipelineConfig,
@@ -327,45 +403,9 @@ def build_template(
         inversion_parallel=key.inversion_parallel,
         sync_curv_seconds=sync_curv_seconds,
     )
-    devices: dict[int, DeviceQueue] = {}
-    dp = pf_cfg.dp
-    for dev in sorted(ref_queues):
-        q = ref_queues[dev]
-        pos_of = {item.iid: pos for pos, item in enumerate(q.items)}
-        dev_items: list[CompiledItem] = []
-        dev_deps: dict[int, list[int]] = {}
-        for pos, item in enumerate(q.items):
-            if item.trigger[0] == "items":
-                dep_positions = tuple(pos_of[d] for d in item.trigger[1])
-                trigger_task = -1
-                for dpos in dep_positions:
-                    dev_deps.setdefault(dpos, []).append(pos)
-            else:
-                ev, s, m, pipe = item.trigger
-                dep_positions = ()
-                trigger_task = pf_graph.trigger_idx[(ev, s, m, pipe, dev % dp)]
-            dev_items.append(
-                CompiledItem(
-                    iid=item.iid,
-                    device=item.device,
-                    kind=item.kind,
-                    factor=item.factor,
-                    stage=item.stage,
-                    block=item.block,
-                    micro_batch=item.micro_batch,
-                    pipeline=item.pipeline,
-                    dur_code=_QKIND_TO_DUR[(item.kind, item.factor)],
-                    trigger=item.trigger,
-                    trigger_task=trigger_task,
-                    dep_positions=dep_positions,
-                )
-            )
-        devices[dev] = DeviceQueue(
-            items=dev_items,
-            codes=[it.dur_code for it in dev_items],
-            trig=[it.trigger_task for it in dev_items],
-            dependents=dev_deps,
-        )
+    queues = compile_queues(
+        ref_queues, trigger_index(pf_graph.kind, pf_graph.meta), pf_cfg.dp,
+        lambda item: _QKIND_TO_DUR[(item.kind, item.factor)])
 
     return ScheduleTemplate(
         key=key,
@@ -374,5 +414,5 @@ def build_template(
         world=pf_builder.allreduce_world(0),
         base_graph=base_graph,
         pf_graph=pf_graph,
-        queues=CompiledQueues(devices=devices),
+        queues=queues,
     )

@@ -25,6 +25,15 @@ def setup(tf=1.0, tb=2.0, curv=0.2, inv=0.6, overhead=1.0, depth=4, n_micro=4,
     return builder, template, queues, filler
 
 
+def trigger_end(template, kind, stage, micro_batch):
+    """End of the replica-0 ``kind`` event of (stage, micro-batch)."""
+    return max(e.end for e in template.timeline.events
+               if e.kind == kind and e.meta["stage"] == stage
+               and e.meta["micro_batch"] == micro_batch
+               and e.meta.get("pipeline") is None
+               and e.meta.get("replica", 0) == 0)
+
+
 class TestFilling:
     def test_everything_assigned(self):
         _, _, queues, filler = setup()
@@ -58,8 +67,9 @@ class TestFilling:
         for q in queues.values():
             for item in q.items:
                 if item.kind == "curvature" and item.factor == "A":
-                    key = ("forward", item.stage, item.micro_batch, None, 0)
-                    assert item.start >= filler._event_end[key] - 1e-9
+                    end = trigger_end(template, "forward", item.stage,
+                                      item.micro_batch)
+                    assert item.start >= end - 1e-9
 
     def test_rule1_curvature_b_after_backward(self):
         _, template, queues, filler = setup(steady_state=False)
@@ -67,8 +77,9 @@ class TestFilling:
         for q in queues.values():
             for item in q.items:
                 if item.kind == "curvature" and item.factor == "B":
-                    key = ("backward", item.stage, item.micro_batch, None, 0)
-                    assert item.start >= filler._event_end[key] - 1e-9
+                    end = trigger_end(template, "backward", item.stage,
+                                      item.micro_batch)
+                    assert item.start >= end - 1e-9
 
     def test_rule2_inversion_after_all_curvature(self):
         _, _, queues, filler = setup()
@@ -130,11 +141,21 @@ class TestFilling:
 class TestFillTimeValidation:
     """A bad fill must fail at assignment time, not when reporting."""
 
-    def test_fill_raises_on_unassigned_items(self):
+    def test_fill_raises_on_unassigned_items(self, monkeypatch):
         """If a device's items somehow escape placement, fill() itself
         raises instead of handing back a result whose events() blows up."""
+        from repro.sweep import retime
+
+        fill_queues = retime.fill_queues
+
+        def skip_device_0(*args, **kwargs):
+            fill = fill_queues(*args, **kwargs)
+            # placement silently skipped
+            fill.segments[0] = [[] for _ in fill.segments[0]]
+            return fill
+
+        monkeypatch.setattr(retime, "fill_queues", skip_device_0)
         _, _, _, filler = setup()
-        filler._fill_device = lambda device: 1  # placement silently skipped
         with pytest.raises(RuntimeError, match="unassigned"):
             filler.fill()
 
@@ -197,3 +218,22 @@ class TestReadinessIndex:
             for inv in (i for i in q.items if i.kind == "inversion"):
                 assert sync.iid in inv.trigger[1]
         assert result.refresh_steps >= 1
+
+    def test_items_trigger_without_deps_fills_first_bubble(self):
+        """An ``("items", ())`` item is ready at 0.0, so it lands in the
+        device's first bubble."""
+        from repro.pipefisher.workqueue import KFACWorkItem, KFACWorkQueue
+        from repro.pipeline.bubbles import bubble_intervals
+
+        _, template, _, _ = setup()
+        item = KFACWorkItem(
+            iid="free.d0", device=0, kind="sync_curv", factor="-", stage=0,
+            block=0, micro_batch=None, pipeline=None, duration=0.1,
+            trigger=("items", ()),
+        )
+        result = BubbleFiller(template, {0: KFACWorkQueue(0, [item])}).fill()
+        first = bubble_intervals(template.timeline, 0,
+                                 (0.0, template.makespan),
+                                 min_duration=1e-5)[0]
+        assert item.segments == [(first[0], first[0] + 0.1)]
+        assert result.device_refresh_steps == {0: 1}

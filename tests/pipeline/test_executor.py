@@ -59,6 +59,17 @@ class TestBasics:
         assert res.end_times["bar"] == pytest.approx(2.0)
         assert res.start_times["b"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("kind", list(WorkKind))
+    def test_every_work_kind_simulates(self, kind):
+        """Kinds no schedule builder emits (recompute, K-FAC work) still
+        simulate with their own durations."""
+        res = simulate_tasks(
+            [task("a", 0, 1.0), task("b", 0, 2.0, deps=["a"], kind=kind)], 1
+        )
+        assert res.start_times["b"] == 1.0
+        assert res.makespan == 3.0
+        assert [e.kind for e in res.timeline.events] == ["forward", kind.value]
+
     def test_timeline_events_emitted(self):
         res = simulate_tasks([task("a", 0, 1.0)], 1)
         assert len(res.timeline.events) == 1

@@ -99,6 +99,22 @@ class TestOneFOneB:
         assert alternations >= len(middle) - 2
 
 
+@pytest.mark.parametrize("name, cfg, dp", [
+    ("1f1b", config(n_micro=8), 1),
+    ("1f1b", config(n_micro=8, dp=2, stage_param_bytes=1e8), 2),
+    ("interleaved",
+     config(depth=8, n_micro=8, tf=0.5, tb=1.0, virtual_chunks=2), 1),
+])
+def test_peak_inflight_reaches_cap_exactly(name, cfg, dp):
+    """``peak_inflight`` matches the per-dispatch count of the original
+    event loop: every stage of every replica reaches its cap D - stage,
+    never more (releases at an instant come before its admissions)."""
+    b, res = simulate(name, cfg)
+    depth = b.config.depth
+    assert res.peak_inflight == {
+        (r, "uni", s): depth - s for r in range(dp) for s in range(depth)}
+
+
 class TestChimera:
     def test_span_matches_critical_path(self):
         _, res = simulate("chimera", config())

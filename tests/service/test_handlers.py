@@ -229,6 +229,24 @@ class TestHTTPRouting:
         assert head.split()[1] == b"400"
         assert "Content-Length" in json.loads(body)["error"]
 
+    def test_oversized_body_is_413_and_closes(self, live):
+        """A declared body above the cap answers 413 and closes at once,
+        instead of holding the handler thread in ``rfile.read`` while the
+        client trickles (or never sends) a gigabyte."""
+        url = urllib.parse.urlsplit(live.url)
+        request = (f"POST /sweep HTTP/1.1\r\nHost: {url.hostname}\r\n"
+                   f"Content-Type: application/json\r\n"
+                   f"Content-Length: {1 << 30}\r\n\r\n{{\"grid\": 1}}").encode()
+        with socket.create_connection((url.hostname, url.port),
+                                      timeout=5) as sock:
+            sock.sendall(request)
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"413"
+        assert "exceeds" in json.loads(body)["error"]
+
     def test_service_errors_carry_json_bodies(self, live):
         with pytest.raises(ServiceHTTPError) as exc:
             live.plan("Nope", "P100")

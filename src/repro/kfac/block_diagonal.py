@@ -13,19 +13,21 @@ inversion and preconditioning) so the strategy is runnable, and
 :func:`block_diag_inversion_flops` feeds the performance model that the
 A.2 invariance test checks.
 
-Uniform-size blocks (the common ``dim % K == 0`` case) are updated and
-inverted as one ``(K, d/K, d/K)`` batch, and inverse blocks are cached
-per damping value: :meth:`BlockDiagonalFactor.solve_right`/``solve_left``
-factorize once per (factor refresh, damping) instead of on every solve —
-the steady-state preconditioning loop between curvature refreshes pays
-only the block matmuls.
+Uniform-size blocks (the common ``dim % K == 0`` case) are updated as one
+``(K, d/K, d/K)`` batched matmul.  Every block inverts through the
+float64 :func:`~repro.kfac.inverse.damped_cholesky_inverse`, and inverse
+blocks are cached per damping value:
+:meth:`BlockDiagonalFactor.solve_right`/``solve_left`` factorize once per
+(factor refresh, damping) instead of on every solve — the steady-state
+preconditioning loop between curvature refreshes pays only the block
+matmuls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kfac.inverse import batched_damped_cholesky_inverse, damped_cholesky_inverse
+from repro.kfac.inverse import damped_cholesky_inverse
 
 
 def split_dim(dim: int, num_blocks: int) -> list[tuple[int, int]]:
@@ -106,17 +108,12 @@ class BlockDiagonalFactor:
         """Damped Cholesky inverse of every block (the split inversion work).
 
         Factorizations are cached per damping value until the next
-        :meth:`update_from_rows`; uniform block sizes invert as one batch.
+        :meth:`update_from_rows`.
         """
         cached = self._inverse_cache.get(damping)
         if cached is not None:
             return cached
-        if self._uniform_block is not None:
-            inv = list(
-                batched_damped_cholesky_inverse(np.stack(self.blocks), damping)
-            )
-        else:
-            inv = [damped_cholesky_inverse(b, damping) for b in self.blocks]
+        inv = [damped_cholesky_inverse(b, damping) for b in self.blocks]
         self.factorizations += len(self.blocks)
         while len(self._inverse_cache) >= self._inverse_cache_max:
             self._inverse_cache.pop(next(iter(self._inverse_cache)))

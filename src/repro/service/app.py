@@ -68,6 +68,11 @@ DEFAULT_ENGINE_POOL = 4
 #: 413 instead of pinning a handler thread on ``rfile.read``.
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a connection may sit idle on a read or write before the
+#: handler gives up on it.  A body that stalls short of its declared
+#: ``Content-Length`` answers 408; an idle keep-alive connection closes.
+SOCKET_TIMEOUT_S = 60
+
 
 class _EngineSlot:
     """One engine plus the lock serializing all work routed to it."""
@@ -428,6 +433,7 @@ class _Handler(BaseHTTPRequestHandler):
     service: PlanningService = None  # bound per server via subclassing
     server_version = "repro-planner/1.0"
     protocol_version = "HTTP/1.1"
+    timeout = SOCKET_TIMEOUT_S
 
     # The default handler logs every request to stderr; the service has
     # /metrics for that.
@@ -467,9 +473,19 @@ class _Handler(BaseHTTPRequestHandler):
                      f"{MAX_BODY_BYTES}-byte limit")
         return length
 
+    def _read(self, length: int) -> bytes:
+        """Read ``length`` body bytes; a stalled body answers 408 and
+        closes the connection (its unread rest would desync keep-alive)."""
+        try:
+            return self.rfile.read(length) if length else b""
+        except TimeoutError:
+            self.close_connection = True
+            raise ServiceError(
+                408, f"request body not received within {self.timeout} s"
+            ) from None
+
     def _body(self) -> dict:
-        length = self._content_length()
-        raw = self.rfile.read(length) if length else b""
+        raw = self._read(self._content_length())
         if not raw:
             raise ServiceError(400, "request body must be JSON")
         try:
@@ -487,13 +503,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _reject_unauthorized(self) -> None:
         # Drain the unread body so HTTP/1.1 keep-alive stays in sync.
         try:
-            length = self._content_length()
+            self._read(self._content_length())
         except ServiceError as exc:
             self._reply(exc.status, {"error": exc.message,
                                      "status": exc.status})
             return
-        if length:
-            self.rfile.read(length)
         self.service.metrics.auth_reject()
         self._reply(401, {
             "error": "unauthorized: send 'Authorization: Bearer <token>'",

@@ -14,6 +14,10 @@ bubble placement models the steady state the operator tunes for, while a
 replicate models one perturbed step — its span, bubble fraction, and
 utilization are the robustness metrics.  Nominal values ride along in
 each replicate record so degradation ratios need no second lookup.
+
+Replication runs in this process; a seed range spreads across worker
+processes only as campaign units (``CampaignSpec.seeds`` under
+``repro campaign run --jobs N``).
 """
 
 from __future__ import annotations
@@ -251,8 +255,7 @@ class MonteCarloResult:
 
 
 def monte_carlo(run, model: StochasticModel, seeds, engine=None,
-                batch: bool = True, jobs: int | None = None
-                ) -> MonteCarloResult:
+                batch: bool = True) -> MonteCarloResult:
     """Map seeds to replicates of ``run`` under ``model`` and collect.
 
     The driver behind the ``robustness`` experiment: one compiled point,
@@ -261,9 +264,7 @@ def monte_carlo(run, model: StochasticModel, seeds, engine=None,
     dict — ``CampaignSpec.seeds`` shards and resumes over exactly these —
     regardless of execution mode: ``batch=True`` (default) vectorizes
     every replicate — fault-carrying seeds included — through the native
-    core, ``jobs=N`` splits the seed range into contiguous blocks across
-    N worker processes, and ``batch=False, jobs=None`` is the scalar
-    reference loop.
+    core, and ``batch=False`` is the scalar reference loop.
     """
     if engine is None:
         from repro.sweep.engine import default_engine
@@ -272,10 +273,7 @@ def monte_carlo(run, model: StochasticModel, seeds, engine=None,
     point = engine.compiled_point(run)
     nominal = engine.nominal_evaluation(point)
     seeds = tuple(seeds)
-    if jobs is not None and jobs > 1 and len(seeds) > 1:
-        replicates = _monte_carlo_pool(point, nominal, model, seeds,
-                                       jobs, batch, engine)
-    elif batch:
+    if batch:
         replicates = replicate_batch(point, nominal, model, seeds,
                                      engine=engine)
     else:
@@ -283,62 +281,3 @@ def monte_carlo(run, model: StochasticModel, seeds, engine=None,
                       for s in seeds]
     return MonteCarloResult(model=model, seeds=seeds,
                             replicates=replicates)
-
-
-#: Engine counters :func:`replicate_batch` credits, folded back from
-#: pool workers.
-_MC_COUNTERS = ("native_evals", "batched_points", "mc_batched_replicates",
-                "mc_faulty_batched")
-
-
-def _mc_worker(template, base_durs, pf_durs, qdurs, model, seeds,
-               nominal_span, nominal_pf_span, batch) -> tuple:
-    """Replicate one contiguous seed block in a worker process.
-
-    Module-level so the pool can pickle it by reference; the nominal
-    evaluation travels as its two consumed scalars.  Returns
-    ``(records, counts)`` with the :data:`_MC_COUNTERS` the block
-    earned, for the caller's engine.
-    """
-    from types import SimpleNamespace
-
-    from repro.sweep.engine import CompiledPoint
-
-    point = CompiledPoint(template=template, base_durs=base_durs,
-                          pf_durs=pf_durs, qdurs=qdurs)
-    nominal = SimpleNamespace(
-        base=SimpleNamespace(makespan=nominal_span),
-        pf=SimpleNamespace(makespan=nominal_pf_span))
-    counts = SimpleNamespace(**dict.fromkeys(_MC_COUNTERS, 0))
-    if batch:
-        records = replicate_batch(point, nominal, model, seeds,
-                                  engine=counts)
-    else:
-        records = [replicate_from_point(point, nominal, model, s)
-                   for s in seeds]
-    return records, vars(counts)
-
-
-def _monte_carlo_pool(point, nominal, model: StochasticModel, seeds,
-                      jobs: int, batch: bool, engine) -> list[dict]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.sweep.pool import picklable_template
-
-    stripped = picklable_template(point.template)
-    per = -(-len(seeds) // jobs)
-    blocks = [seeds[lo:lo + per] for lo in range(0, len(seeds), per)]
-    replicates: list[dict] = []
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        futures = [
-            ex.submit(_mc_worker, stripped, point.base_durs, point.pf_durs,
-                      point.qdurs, model, block, nominal.base.makespan,
-                      nominal.pf.makespan, batch)
-            for block in blocks
-        ]
-        for fut in futures:
-            records, counts = fut.result()
-            replicates.extend(records)
-            for name, n in counts.items():
-                setattr(engine, name, getattr(engine, name) + n)
-    return replicates

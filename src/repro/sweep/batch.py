@@ -6,9 +6,11 @@ the native core (:mod:`repro.sweep.native`): one C call runs the
 event-driven executor for every point, one fills every point's bubbles,
 one folds every utilization.  Each function degrades per point — a row
 the core cannot handle (deadlock, filler failure, structural feature it
-doesn't model) comes back ``None`` and the caller re-runs that point
-through the pure-python reference path, which also raises the
-reference's exact errors.
+doesn't model) reports a non-OK status (``ok(i)`` is False), and the
+caller re-runs that point through the pure-python reference path, which
+also raises the reference's exact errors.  The two callers are
+:func:`repro.sweep.engine.native_evaluations` (sweep points) and
+:func:`repro.stochastic.mc.replicate_batch` (Monte Carlo seed blocks).
 
 Everything returned is reference-typed: :class:`~repro.sweep.retime.CompiledSim`
 rows hold python floats (``ndarray.tolist`` preserves bits), and
@@ -27,7 +29,7 @@ except ImportError:  # pragma: no cover - numpy is a de-facto hard dep
     np = None
 
 from repro.sweep import native
-from repro.sweep.retime import CompiledSim, fill_compiled, simulate_compiled
+from repro.sweep.retime import CompiledSim
 
 
 def batching_supported(template) -> bool:
@@ -254,40 +256,6 @@ def simulate_graph_batch(graph, durs_list=None, task_durs=None, faults=None
                       rest_lost=rest[4], rest_count=rest[5])
 
 
-def simulate_compiled_batch(graph, durs_list=None, task_durs=None
-                            ) -> list[CompiledSim]:
-    """Batch variant of :func:`~repro.sweep.retime.simulate_compiled`.
-
-    Bit-identical to calling the reference per point (the property tests
-    fuzz this); rows the native core rejects — and the whole batch when
-    the core is unavailable — run through the reference itself.
-    """
-    if durs_list is not None:
-        P = len(durs_list)
-    else:
-        P = len(task_durs)
-
-    def reference(i: int) -> CompiledSim:
-        td = None
-        if task_durs is not None:
-            row = task_durs[i]
-            td = row if isinstance(row, list) else list(row)
-        return simulate_compiled(
-            graph, durs_list[i] if durs_list is not None else None,
-            task_durs=td)
-
-    gb = simulate_graph_batch(graph, durs_list, _as_matrix(task_durs))
-    if gb is None:
-        return [reference(i) for i in range(P)]
-    return [gb.sim(i) if gb.ok(i) else reference(i) for i in range(P)]
-
-
-def _as_matrix(task_durs):
-    if task_durs is None or np is None:
-        return task_durs
-    return np.ascontiguousarray(np.asarray(task_durs, np.float64))
-
-
 class NativeFill:
     """A :class:`~repro.sweep.retime.CompiledFill` built from the native
     segment stream, with the per-item tuple lists materialized lazily."""
@@ -368,25 +336,6 @@ def fill_graph_batch(template, pf_batch: GraphBatch, qdurs_list
     return FillBatch(qa=qa, device_steps=dev_steps, refresh=refresh,
                      seg_item=seg_item, seg_s=seg_s, seg_e=seg_e,
                      seg_count=seg_count, pf_util=pf_util, status=status)
-
-
-def fill_compiled_batch(template, sims, qdurs_list) -> list:
-    """Batch variant of :func:`~repro.sweep.retime.fill_compiled`.
-
-    ``sims`` may be a :class:`GraphBatch` (zero-copy native path) or a
-    list of :class:`CompiledSim`.  Failing rows re-run the reference,
-    which raises the reference's errors.
-    """
-    if isinstance(sims, GraphBatch):
-        fb = fill_graph_batch(template, sims, qdurs_list)
-        if fb is None:
-            return [fill_compiled(template, sims.sim(i), qdurs_list[i])
-                    for i in range(len(qdurs_list))]
-        return [fb.fill(i, float(sims.makespan[i])) if fb.ok(i)
-                else fill_compiled(template, sims.sim(i), qdurs_list[i])
-                for i in range(len(qdurs_list))]
-    return [fill_compiled(template, sim, qd)
-            for sim, qd in zip(sims, qdurs_list)]
 
 
 def windowed_utilization_batch(graph_batch: GraphBatch):

@@ -26,8 +26,9 @@ An uncached duration table is timed one of two ways, both bit-identical:
 the native core (:mod:`repro.sweep.batch`, many tables of one template
 per pass) through :func:`native_evaluations`, or the pure-python
 reference (:mod:`repro.sweep.retime`) through :func:`python_evaluation`
-for the rows the core cannot serve.  The in-process engine and the pool
-workers (:mod:`repro.sweep.pool`) share both helpers.
+for the rows the core cannot serve.  :meth:`SweepEngine._evaluate`
+times one table at a time; :meth:`SweepEngine.run_many` primes a window's
+tables per template in one native pass first.
 """
 
 from __future__ import annotations
@@ -107,9 +108,6 @@ class _Evaluation:
     base_util: float
     pf_util: float
     refresh: int
-    #: Set on evaluations the native core served (the pool's counter
-    #: fold reads it back from worker payloads).
-    _native = False
 
 
 class SweepEngine:
@@ -344,7 +342,7 @@ class SweepEngine:
         return self._evaluate(point.template, point.base_durs,
                               point.pf_durs, point.qdurs)
 
-    def run_many(self, runs, jobs: int | None = None, window: int = 64):
+    def run_many(self, runs, window: int = 64):
         """Evaluate any iterable of points, streaming reports lazily.
 
         Points are consumed in windows of ``window``; each window's
@@ -353,18 +351,7 @@ class SweepEngine:
         per point where unsupported), then reports stream out in input
         order.  Results, and the evolution of every cache and counter a
         consumer can observe, are identical to looping :meth:`run`.
-
-        ``jobs=N`` (N > 1) fans each window's uncached evaluations out
-        to a pool of N worker processes, which receive pickled
-        (stripped) templates from this engine's shared template cache
-        and return plain timing payloads; reports are still assembled —
-        bit-identically — in this process, in input order.
         """
-        if jobs is not None and jobs > 1:
-            return self._run_many_pool(runs, jobs, window)
-        return self._run_many_seq(runs, window)
-
-    def _run_many_seq(self, runs, window: int):
         def gen():
             it = iter(runs)
             while True:
@@ -377,27 +364,6 @@ class SweepEngine:
                     points[i] = self.compiled_point(r)
                 primed = self._prime_batch(points)
                 yield from self._consume(chunk, points, primed)
-        return gen()
-
-    def _run_many_pool(self, runs, jobs: int, window: int):
-        def gen():
-            from concurrent.futures import ProcessPoolExecutor
-            from repro.sweep import pool as _pool
-            ex = ProcessPoolExecutor(max_workers=jobs)
-            try:
-                it = iter(runs)
-                while True:
-                    chunk = list(islice(it, window * jobs))
-                    if not chunk:
-                        return
-                    points = [None] * len(chunk)
-                    for i, r in enumerate(chunk):
-                        self.runs += 1
-                        points[i] = self.compiled_point(r)
-                    primed = self._prime_pool(ex, _pool, points, jobs)
-                    yield from self._consume(chunk, points, primed)
-            finally:
-                ex.shutdown()
         return gen()
 
     def _consume(self, chunk, points, primed):
@@ -416,9 +382,16 @@ class SweepEngine:
                 ev = self._evaluate(p.template, *dur_key)
             yield self._build_report(r, p.template, p.qdurs, ev)
 
-    def _group_uncached(self, points):
-        """The window's distinct un-evaluated duration tables, grouped
-        per template in first-appearance order."""
+    def _prime_batch(self, points) -> dict:
+        """Evaluate a window's uncached tables template-by-template.
+
+        The window's distinct un-evaluated tables are grouped per
+        template in first-appearance order, and each group runs through
+        the native core as one vectorized pass.  Rows that cannot be
+        primed (no native core, fallback-needed statuses) are simply
+        absent — :meth:`_consume` sends them through the sequential
+        path, so the reference's errors surface in input order.
+        """
         groups: dict[int, tuple] = {}
         seen: set = set()
         for p in points:
@@ -429,19 +402,8 @@ class SweepEngine:
             seen.add(k)
             groups.setdefault(id(p.template), (p.template, []))[1].append(
                 dur_key)
-        return groups
-
-    def _prime_batch(self, points) -> dict:
-        """Evaluate a window's uncached tables template-by-template.
-
-        Each template's group runs through the native core as one
-        vectorized pass.  Rows that cannot be primed (no native core,
-        fallback-needed statuses) are simply absent — :meth:`_consume`
-        sends them through the sequential path, so the reference's
-        errors surface in input order.
-        """
         primed: dict = {}
-        for template, keys in self._group_uncached(points).values():
+        for template, keys in groups.values():
             if len(keys) < 2:
                 continue
             evs = native_evaluations(template, keys, self.phase_s)
@@ -451,32 +413,6 @@ class SweepEngine:
                     self.native_evals += 1
                     self.batched_points += 1
                     primed[(id(template), dur_key)] = ev
-        return primed
-
-    def _prime_pool(self, ex, _pool, points, jobs: int) -> dict:
-        """Pool flavor of :meth:`_prime_batch`: each template's uncached
-        tables are sharded across the worker processes."""
-        primed: dict = {}
-        futures = []
-        for template, keys in self._group_uncached(points).values():
-            stripped = _pool.picklable_template(template)
-            per = max(1, -(-len(keys) // jobs))
-            for lo in range(0, len(keys), per):
-                part = keys[lo:lo + per]
-                futures.append(
-                    (template, part,
-                     ex.submit(_pool.eval_worker, stripped, part)))
-        for template, part, fut in futures:
-            payloads, retime_s, fill_s = fut.result()
-            self.phase_s["retime"] += retime_s
-            self.phase_s["fill"] += fill_s
-            for dur_key, payload in zip(part, payloads):
-                ev = _pool.evaluation_from_payload(payload)
-                self.reexecutions += 1
-                if ev._native:
-                    self.native_evals += 1
-                self.batched_points += 1
-                primed[(id(template), dur_key)] = ev
         return primed
 
     # -- internals ----------------------------------------------------------------
@@ -565,8 +501,8 @@ def native_evaluations(template: ScheduleTemplate, dur_keys: list,
                        phase_s: dict) -> list:
     """Evaluate many duration tables of one template in one native pass.
 
-    Returns one entry per key: an :class:`_Evaluation` marked ``_native``,
-    or None where the row needs :func:`python_evaluation` (core
+    Returns one entry per key: an :class:`_Evaluation` for each row the
+    core served, or None where the row needs :func:`python_evaluation` (core
     unavailable for this template, or a non-OK sim/fill status) — the
     reference then raises its own errors for that row.  Wall-clock is
     added to ``phase_s["retime"]`` and ``phase_s["fill"]``.
@@ -591,7 +527,7 @@ def native_evaluations(template: ScheduleTemplate, dur_keys: list,
             if not (gb_b.ok(i) and gb_p.ok(i) and fb.ok(i)):
                 continue
             pf = gb_p.sim(i)
-            ev = _Evaluation(
+            out[i] = _Evaluation(
                 base=gb_b.sim(i),
                 pf=pf,
                 fill=fb.fill(i, pf.makespan),
@@ -599,8 +535,6 @@ def native_evaluations(template: ScheduleTemplate, dur_keys: list,
                 pf_util=float(fb.pf_util[i]),
                 refresh=max(int(fb.refresh[i]), 1),
             )
-            ev._native = True
-            out[i] = ev
     phase_s["fill"] += perf_counter() - t_begin
     return out
 

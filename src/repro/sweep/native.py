@@ -3,8 +3,8 @@
 ``_native.c`` (same directory) is compiled on demand with whatever C
 compiler the host has (``$CC``, ``gcc``, or ``cc``) into a
 content-hash-named shared object under ``_build/`` — so a source edit
-triggers exactly one rebuild, and concurrent processes (the sweep
-pool's workers) race benignly to an atomic ``os.replace`` of the same
+triggers exactly one rebuild, and concurrent processes (campaign
+``--jobs`` workers) race benignly to an atomic ``os.replace`` of the same
 file.  No compiler, a failed compile, or ``REPRO_NO_NATIVE=1`` all
 degrade to ``available() -> False`` and the callers' pure-python paths;
 the native core is an accelerator, never a dependency.

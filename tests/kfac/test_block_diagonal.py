@@ -10,6 +10,7 @@ from repro.kfac.block_diagonal import (
     split_dim,
 )
 from repro.kfac.factors import compute_factor_from_rows
+from repro.kfac.inverse import damped_cholesky_inverse
 
 
 class TestSplitDim:
@@ -125,6 +126,19 @@ class TestInverseCaching:
         for step in range(20):
             bd.solve_right(g, damping=0.1 + 0.01 * step)
         assert len(bd._inverse_cache) <= bd._inverse_cache_max
+
+    def test_cached_solves_equal_per_call_inverse(self):
+        """Uniform blocks: the cached solves are exactly the per-call
+        float64 ``damped_cholesky_inverse`` products."""
+        bd, rng = self._factor(dim=12, blocks=3)
+        g = rng.standard_normal((5, 12)).astype(np.float32)
+        h = rng.standard_normal((12, 5)).astype(np.float32)
+        right = bd.solve_right(g, damping=0.1)
+        left = bd.solve_left(h, damping=0.1)
+        for (s, e), block in zip(bd.ranges, bd.blocks):
+            inv = damped_cholesky_inverse(block, 0.1)
+            np.testing.assert_array_equal(right[:, s:e], g[:, s:e] @ inv)
+            np.testing.assert_array_equal(left[s:e], inv @ h[s:e])
 
     def test_uneven_blocks_cache_too(self):
         rng = np.random.default_rng(9)

@@ -20,6 +20,7 @@ from repro.service import (
     ServiceHTTPError,
     ServiceServer,
 )
+from repro.service import app as service_app
 from repro.service.jobs import job_id_for, sweep_request
 from repro.sweep import SweepEngine
 
@@ -246,6 +247,30 @@ class TestHTTPRouting:
         head, _, body = raw.partition(b"\r\n\r\n")
         assert head.split()[1] == b"413"
         assert "exceeds" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("token", [None, "s3cret"],
+                             ids=["body", "auth-drain"])
+    def test_stalled_body_is_408_and_closes(self, monkeypatch, token):
+        """A body that stops short of its ``Content-Length`` answers 408
+        once the socket timeout expires and closes the connection, both
+        when read as JSON and when drained before a 401, instead of
+        pinning the handler thread forever."""
+        monkeypatch.setattr(service_app._Handler, "timeout", 0.5)
+        svc = PlanningService(engine=SweepEngine(), token=token)
+        with ServiceServer(svc) as server:
+            url = urllib.parse.urlsplit(server.url)
+            request = (f"POST /plan HTTP/1.1\r\nHost: {url.hostname}\r\n"
+                       f"Content-Type: application/json\r\n"
+                       f"Content-Length: 10\r\n\r\n{{\"a\":").encode()
+            with socket.create_connection((url.hostname, url.port),
+                                          timeout=10) as sock:
+                sock.sendall(request)
+                raw = b""
+                while chunk := sock.recv(65536):
+                    raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"408"
+        assert "not received" in json.loads(body)["error"]
 
     def test_service_errors_carry_json_bodies(self, live):
         with pytest.raises(ServiceHTTPError) as exc:

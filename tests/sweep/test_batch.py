@@ -1,11 +1,11 @@
 """Batched re-timing must be bit-identical to the per-point reference.
 
-Property tests for the PR's core invariant: every path that evaluates a
-compiled point — native batched sim/fill, the ``run_many``
-streaming loop, and the process pool — produces exactly
-the values the pure-python :func:`~repro.sweep.retime.simulate_compiled`
-path does (``==`` on floats, no tolerances).  One fuzz case per
-registered schedule family, 20 seeds each.
+Property tests for the core invariant: every path that evaluates a
+compiled point — native batched sim/fill and the ``run_many``
+streaming loop — produces exactly the values the pure-python
+:func:`~repro.sweep.retime.simulate_compiled` path does (``==`` on
+floats, no tolerances).  One fuzz case per registered schedule family,
+20 seeds each.
 """
 
 import random
@@ -62,10 +62,10 @@ def test_simulate_batch_matches_reference(name):
     for graph, durs in ((point.template.base_graph, point.base_durs),
                         (point.template.pf_graph, point.pf_durs)):
         tables = _fuzz_tables(durs, FUZZ_SEEDS)
-        sims = sweep_batch.simulate_compiled_batch(graph, tables)
-        assert len(sims) == FUZZ_SEEDS
-        for table, got in zip(tables, sims):
-            _assert_sims_equal(simulate_compiled(graph, table), got)
+        gb = sweep_batch.simulate_graph_batch(graph, tables)
+        assert gb is not None and all(gb.ok(i) for i in range(FUZZ_SEEDS))
+        for i, table in enumerate(tables):
+            _assert_sims_equal(simulate_compiled(graph, table), gb.sim(i))
 
 
 @pytest.mark.parametrize("name", SCHEDULE_CASES)
@@ -74,12 +74,14 @@ def test_fill_batch_matches_reference(name):
     template = point.template
     pf_tables = _fuzz_tables(point.pf_durs, FUZZ_SEEDS)
     q_tables = _fuzz_tables(point.qdurs, FUZZ_SEEDS, lo=0.5, hi=2.0)
-    sims = sweep_batch.simulate_compiled_batch(template.pf_graph, pf_tables)
     gb = sweep_batch.simulate_graph_batch(template.pf_graph, pf_tables)
     assert gb is not None and all(gb.ok(i) for i in range(FUZZ_SEEDS))
-    fills = sweep_batch.fill_compiled_batch(template, gb, q_tables)
-    for sim, qd, got in zip(sims, q_tables, fills):
-        ref = fill_compiled(template, sim, qd)
+    fb = sweep_batch.fill_graph_batch(template, gb, q_tables)
+    assert fb is not None and all(fb.ok(i) for i in range(FUZZ_SEEDS))
+    for i, (table, qd) in enumerate(zip(pf_tables, q_tables)):
+        ref = fill_compiled(template, simulate_compiled(template.pf_graph,
+                                                        table), qd)
+        got = fb.fill(i, float(gb.makespan[i]))
         assert ref.span == got.span
         assert dict(ref.device_steps) == dict(got.device_steps)
         assert ref.segments == got.segments
@@ -125,9 +127,11 @@ def test_run_many_matches_sequential():
     # Counter fidelity: the streaming loop evolves the caches exactly as
     # the sequential loop does.
     s_ref, s_got = seq_engine.stats(), eng.stats()
-    for key in ("runs", "timing_hits", "rescales", "reexecutions"):
+    for key in ("runs", "timing_hits", "rescales", "reexecutions",
+                "native_evals"):
         assert s_got[key] == s_ref[key], key
     assert s_got["batched_points"] > 0
+    assert s_got["native_evals"] > 0
 
 
 def test_run_many_streams_lazily_from_any_iterable():
@@ -147,50 +151,6 @@ def test_run_many_streams_lazily_from_any_iterable():
     rest = list(gen)
     assert len(rest) == len(runs) - 1
     assert len(consumed) == len(runs)
-
-
-def test_run_many_pool_matches_sequential():
-    runs = _grid_runs()
-    refs = [SweepEngine().run(r) for r in runs]
-    got = list(SweepEngine().run_many(runs, jobs=2, window=4))
-    for ref, g in zip(refs, got):
-        assert_reports_identical(ref, g)
-
-
-def test_pool_payload_round_trips_native_flag():
-    """The worker's ``native`` flag survives payload → evaluation → payload.
-
-    The seed dropped it in ``evaluation_from_payload``, so a rebuilt
-    evaluation re-serialized (or counted by the parent engine) read as a
-    reference-path row — ``native_evals`` undercounted under ``jobs=N``.
-    """
-    from repro.sweep import pool as sweep_pool
-
-    point = _point("chimera")
-    payloads, _, _ = sweep_pool.eval_worker(
-        sweep_pool.picklable_template(point.template),
-        [(point.base_durs, point.pf_durs, point.qdurs)])
-    assert payloads[0]["native"] is True
-    ev = sweep_pool.evaluation_from_payload(payloads[0])
-    assert ev._native is True
-    assert sweep_pool.evaluation_payload(ev)["native"] is True
-
-
-def test_pool_counter_fidelity_vs_in_process():
-    """``jobs=2`` evolves the engine's evaluation counters exactly as the
-    in-process loop does (same window content: window*jobs == window)."""
-    runs = _grid_runs()
-    seq = SweepEngine()
-    refs = list(seq.run_many(runs, window=8))
-    pooled = SweepEngine()
-    got = list(pooled.run_many(runs, jobs=2, window=4))
-    for ref, g in zip(refs, got):
-        assert_reports_identical(ref, g)
-    s_ref, s_got = seq.stats(), pooled.stats()
-    for key in ("runs", "timing_hits", "rescales", "reexecutions",
-                "native_evals"):
-        assert s_got[key] == s_ref[key], key
-    assert s_got["native_evals"] > 0  # the undercount this test pins
 
 
 def test_run_many_without_native_matches(monkeypatch):

@@ -17,12 +17,19 @@ Experiment-specific kinds (the fig. 7 training run, the fig. 8 LR
 schedules, the table 3 architecture check) are registered by their
 experiment modules — importing :mod:`repro.experiments` loads the full
 vocabulary.
+
+A kind may declare *timing params*: params that only set durations and
+never change the compiled schedule template a unit evaluates on.
+:func:`structure_key` drops them, so the planning service can route
+units of one structure to the engine that already holds its template.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Callable
+
+from repro.campaign.spec import unit_key
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,10 @@ class UnitKind:
     #: ``seeds`` over a kind that ignores them would silently run the same
     #: unit N times, so registration audits this (see registry.py).
     seed_aware: bool = False
+    #: Params that only set durations (cost model inputs, seeds,
+    #: perturbations) and never change the task graph or K-FAC work
+    #: inventory.  Routing hint only: results never depend on it.
+    timing_params: frozenset = frozenset()
 
 
 @dataclass
@@ -52,11 +63,13 @@ def register_unit_kind(name: str,
                        execute: Callable[[dict, UnitContext], Any],
                        serialize: Callable[[Any, dict], Any],
                        replace: bool = False,
-                       seed_aware: bool = False) -> UnitKind:
+                       seed_aware: bool = False,
+                       timing_params=()) -> UnitKind:
     if name in _KINDS and not replace:
         raise ValueError(f"unit kind {name!r} already registered")
     kind = UnitKind(name=name, execute=execute, serialize=serialize,
-                    seed_aware=seed_aware)
+                    seed_aware=seed_aware,
+                    timing_params=frozenset(timing_params))
     _KINDS[name] = kind
     return kind
 
@@ -78,6 +91,19 @@ def kind_seed_aware(name: str) -> bool | None:
     """Whether a kind reads the seed param (None if not yet registered)."""
     kind = _KINDS.get(name)
     return None if kind is None else kind.seed_aware
+
+
+def structure_key(unit) -> str:
+    """The canonical hash of ``unit`` minus its kind's timing params.
+
+    Units that differ only in timing params share it; for a kind that
+    declares none (or is unregistered) it is the unit's own key.
+    """
+    kind = _KINDS.get(unit.kind)
+    if kind is None or not kind.timing_params:
+        return unit.key
+    return unit_key(unit.kind, {n: v for n, v in unit.params
+                                if n not in kind.timing_params})
 
 
 # -- pipefisher: one simulated PipeFisherRun point ------------------------------
@@ -191,5 +217,6 @@ def pf_report_row(value: dict) -> list:
     ]
 
 
-register_unit_kind("pipefisher", _execute_pipefisher, _serialize_pipefisher)
+register_unit_kind("pipefisher", _execute_pipefisher, _serialize_pipefisher,
+                   timing_params=("arch", "hardware", "b_micro"))
 register_unit_kind("perf_report", _execute_perf_report, _serialize_perf_report)

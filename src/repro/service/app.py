@@ -19,11 +19,15 @@ so repeat queries are cache hits and service values are bit-identical
 to ``repro campaign run`` of the same grid.
 
 Concurrency model: the HTTP layer threads freely; evaluation routes
-each request to one slot of a small :class:`EnginePool` by a
-deterministic structural key and holds only that slot's lock (a sweep
-engine and its caches are not thread-safe, so same-key work stays
-sequential and bit-exact), which lets cold misses for *distinct*
-templates evaluate concurrently.  The result store, metrics, and budget
+each request to one slot of a small :class:`EnginePool` by a structural
+key and holds only that slot's lock (a sweep engine and its caches are
+not thread-safe, so same-key work stays sequential and bit-exact),
+which lets cold misses for *distinct* templates evaluate concurrently.
+The key drops the params a unit kind declares timing-only, and a key
+keeps its slot, so every grid over one schedule template lands on the
+slot that already compiled it (a grid over several structures keys by
+all of them, and can rebuild a template another slot holds).  The
+result store, metrics, and budget
 accounting are internally locked and stay atomic across slots; unit
 values are deterministic functions of ``(kind, params)``, so responses
 are byte-identical regardless of which slot computed them.
@@ -35,16 +39,19 @@ rejected with 401 and counted in ``/metrics``.
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 import json
 import threading
-import zlib
+from collections import OrderedDict
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from time import perf_counter
 
 from repro.campaign.runner import _engine_counters
 from repro.campaign.spec import CampaignValidationError
+from repro.campaign.units import structure_key
 from repro.service import planner as planner_mod
 from repro.service.jobs import (
     FAILED,
@@ -63,6 +70,15 @@ DEFAULT_INLINE_LIMIT = 32
 #: Engine slots when neither ``engine`` nor ``engine_pool`` is given.
 DEFAULT_ENGINE_POOL = 4
 
+#: Routing keys an :class:`EnginePool` remembers (least recently used
+#: forgotten first): far more than the pool's template caches hold.
+MAX_ROUTES = 4096
+
+#: Most keys an :class:`EnginePool` slot may hold beyond its emptiest
+#: slot.  Four slots then split 90 keys at most 28 to one, within
+#: one engine's 32-entry template cache.
+ROUTE_SLACK = 8
+
 #: Largest request body read, in bytes.  A ``/sweep`` grid at the
 #: ``MAX_UNITS`` ceiling is tens of KiB; a bigger declared length answers
 #: 413 instead of pinning a handler thread on ``rfile.read``.
@@ -77,36 +93,73 @@ SOCKET_TIMEOUT_S = 60
 class _EngineSlot:
     """One engine plus the lock serializing all work routed to it."""
 
-    __slots__ = ("engine", "lock")
+    __slots__ = ("engine", "lock", "pending", "keys")
 
     def __init__(self, engine) -> None:
         self.engine = engine
         self.lock = threading.RLock()
+        self.pending = 0  #: requests routed here and not yet finished
+        self.keys = 0     #: remembered keys assigned to this slot
 
 
 class EnginePool:
     """A fixed set of sweep engines, each guarded by its own lock.
 
-    Work routes by a caller-chosen structural key: the same key always
-    lands on the same slot (engines are not thread-safe and repeated
-    identical requests must serialize for bit-exact cache semantics),
-    while distinct keys usually land on distinct slots and evaluate
-    concurrently.  The hash is ``crc32`` — stable across processes and
-    ``PYTHONHASHSEED`` values, so slot routing is deterministic.
+    Work routes by a caller-chosen structural key, and a key keeps the
+    slot it was first given: repeated identical requests serialize on
+    one engine (engines are not thread-safe), and the service keys
+    sweeps by template structure (see
+    :meth:`PlanningService._units_key`), so a grid of one structure
+    reuses the template its slot already compiled.  A new key goes to
+    the slot with the fewest requests in flight, ties to the one holding
+    the fewest keys, but never to a slot already ``ROUTE_SLACK`` keys
+    ahead of the emptiest: a cold miss does not queue behind a busy
+    slot, and however traffic overlaps the slots' template caches split
+    the working set evenly.  Keys are remembered as fixed-size digests,
+    the last ``MAX_ROUTES`` of them; a forgotten key is assigned afresh,
+    which can cost a template build, never a different answer.
     """
 
     def __init__(self, engines) -> None:
         if not engines:
             raise ValueError("engine pool needs at least one engine")
         self.slots = tuple(_EngineSlot(e) for e in engines)
+        self._routes: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.slots)
 
-    def slot(self, key: str) -> _EngineSlot:
+    def _assign(self, digest: bytes) -> _EngineSlot:
         if len(self.slots) == 1:
             return self.slots[0]
-        return self.slots[zlib.crc32(key.encode("utf-8")) % len(self.slots)]
+        slot = self._routes.get(digest)
+        if slot is not None:
+            self._routes.move_to_end(digest)
+            return slot
+        limit = min(s.keys for s in self.slots) + ROUTE_SLACK
+        slot = min((s for s in self.slots if s.keys < limit),
+                   key=lambda s: (s.pending, s.keys))
+        slot.keys += 1
+        self._routes[digest] = slot
+        if len(self._routes) > MAX_ROUTES:
+            _, old = self._routes.popitem(last=False)
+            old.keys -= 1
+        return slot
+
+    @contextmanager
+    def route(self, key: str):
+        """Hold ``key``'s slot lock for the block; yields the slot."""
+        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest()
+        with self._lock:
+            slot = self._assign(digest)
+            slot.pending += 1
+        try:
+            with slot.lock:
+                yield slot
+        finally:
+            with self._lock:
+                slot.pending -= 1
 
     def counters(self) -> dict:
         """Flattened engine counters summed across every slot."""
@@ -215,14 +268,11 @@ class PlanningService:
                 * len(kwargs.get("b_micros", planner_mod.DEFAULT_B_MICROS))
                 * len(kwargs.get("recompute_options", (False, True)))
                 * len(kwargs.get("schedules", ()) or _analytic_schedules()))
-        slot = self.pool.slot(
-            "plan:" + json.dumps({k: v for k, v in kwargs.items()
-                                  if k != "engine"}, sort_keys=True))
-        kwargs["engine"] = slot.engine
+        key = "plan:" + json.dumps(kwargs, sort_keys=True)
         self._charge(cost)
         try:
-            with slot.lock:
-                result = planner_mod.plan(**kwargs)
+            with self.pool.route(key) as slot:
+                result = planner_mod.plan(engine=slot.engine, **kwargs)
         except ValueError as exc:
             self.metrics.refund(cost)
             raise ServiceError(400, str(exc)) from exc
@@ -324,11 +374,17 @@ class PlanningService:
     def _units_key(units) -> str:
         """The slot-routing key of a unit batch.
 
-        Canonical unit hashes already encode ``(kind, params)``, so
-        identical requests — which must serialize on one engine — share
-        a key, while different grids usually spread across slots.
+        The batch's distinct :func:`~repro.campaign.units.structure_key`
+        values: canonical ``(kind, params)`` hashes minus the params the
+        kind declares timing-only.  Grids of one structure that differ
+        only in ``arch``, ``hardware``, ``b_micro`` (or, for
+        ``stochastic``, seeds and model) share a slot and its compiled
+        template; identical requests still share a key.  For a kind that
+        declares no timing params the parts are the unit hashes.  Each
+        engine caches by the full template key, so routing changes only
+        hit rates, never results.
         """
-        return "|".join(u.key for u in units)
+        return "|".join(dict.fromkeys(structure_key(u) for u in units))
 
     def _execute_units(self, units, charge: bool = True):
         """Serve ``units`` from the store, executing the misses.
@@ -342,8 +398,7 @@ class PlanningService:
         """
         from repro.campaign.units import UnitContext, get_unit_kind
 
-        slot = self.pool.slot(self._units_key(units))
-        with slot.lock:
+        with self.pool.route(self._units_key(units)) as slot:
             cost = sum(1 for u in units if not self.store.contains(u.key))
             if charge:
                 self._charge(cost)
@@ -393,8 +448,7 @@ class PlanningService:
 
         run_dir = self.state_dir / "jobs" / job["key"]
         units = spec.units()
-        slot = self.pool.slot(self._units_key(units))
-        with slot.lock:
+        with self.pool.route(self._units_key(units)) as slot:
             db = RunDB.open(run_dir)
             for u in units:
                 rec = self.store.peek(u.key)

@@ -8,12 +8,20 @@ declares ``seeds``.  :meth:`StochasticModel.from_params` pops the model
 fields back out; the remainder builds the ``PipeFisherRun``.
 
 The replicate dict is already JSON-scalar, so serialization is the
-identity — the run DB record *is* the replicate.
+identity — the run DB record *is* the replicate.  Every replicate of a
+pipeline point re-times the same template, so the kind's timing params
+are the ``pipefisher`` ones plus ``seed`` and the model fields.
 """
 
 from __future__ import annotations
 
-from repro.campaign.units import UnitContext, register_unit_kind
+from dataclasses import fields
+
+from repro.campaign.units import (
+    UnitContext,
+    get_unit_kind,
+    register_unit_kind,
+)
 from repro.stochastic.mc import run_replicate
 from repro.stochastic.model import StochasticModel
 
@@ -43,5 +51,8 @@ def _serialize_stochastic(value: dict, params: dict) -> dict:
     return value
 
 
-register_unit_kind("stochastic", _execute_stochastic, _serialize_stochastic,
-                   seed_aware=True)
+register_unit_kind(
+    "stochastic", _execute_stochastic, _serialize_stochastic,
+    seed_aware=True,
+    timing_params=(get_unit_kind("pipefisher").timing_params
+                   | {"seed"} | {f.name for f in fields(StochasticModel)}))

@@ -12,11 +12,14 @@ also raises the reference's exact errors.  The two callers are
 :func:`repro.sweep.engine.native_evaluations` (sweep points) and
 :func:`repro.stochastic.mc.replicate_batch` (Monte Carlo seed blocks).
 
-Everything returned is reference-typed: :class:`~repro.sweep.retime.CompiledSim`
-rows hold python floats (``ndarray.tolist`` preserves bits), and
-:class:`NativeFill` quacks like :class:`~repro.sweep.retime.CompiledFill`
-with the per-item segment lists materialized lazily — sweeps that only
-read scalar report fields never pay for segment-tuple construction.
+Everything returned is reference-typed, with the per-task and per-item
+lists materialized lazily: :class:`NativeSim` quacks like
+:class:`~repro.sweep.retime.CompiledSim` and :class:`NativeFill` like
+:class:`~repro.sweep.retime.CompiledFill`.  Each keeps compact copies of
+its batch row and builds the python lists (``ndarray.tolist`` preserves
+bits) on first touch — sweeps that only read scalar report fields never
+pay for boxed floats or segment tuples, and cached evaluations stay a
+few bytes per task.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ except ImportError:  # pragma: no cover - numpy is a de-facto hard dep
     np = None
 
 from repro.sweep import native
-from repro.sweep.retime import CompiledSim
 
 
 def batching_supported(template) -> bool:
@@ -43,15 +45,47 @@ def batching_supported(template) -> bool:
     )
 
 
-def _row_sim(ga, start, end, ev_end, ev_order, mk, i) -> CompiledSim:
-    """One batch row as a reference-typed sim (python floats, exact)."""
-    return CompiledSim(
-        start=start[i].tolist(),
-        end=end[i].tolist(),
-        ev_end=ev_end[i].tolist(),
-        ev_order=ev_order[i, :ga.n_disp].tolist(),
-        makespan=float(mk[i]),
-    )
+def _lazy_list(slot: str) -> property:
+    """A property that swaps the array in ``slot`` for its ``tolist``."""
+    def get(self):
+        value = getattr(self, slot)
+        if not isinstance(value, list):
+            value = value.tolist()
+            setattr(self, slot, value)
+        return value
+    return property(get)
+
+
+class NativeSim:
+    """One batch row as a :class:`~repro.sweep.retime.CompiledSim`.
+
+    Holds owned copies of the row (never views, which would keep the
+    whole ``(rows, n)`` batch array alive) and turns each into a list of
+    python floats/ints on first access, bit for bit.
+    """
+
+    __slots__ = ("makespan", "restarts", "_start", "_end", "_ev_end",
+                 "_ev_order")
+
+    start = _lazy_list("_start")
+    end = _lazy_list("_end")
+    ev_end = _lazy_list("_ev_end")
+    ev_order = _lazy_list("_ev_order")
+
+    def __init__(self, start, end, ev_end, ev_order, makespan: float
+                 ) -> None:
+        self._start = start
+        self._end = end
+        self._ev_end = ev_end
+        self._ev_order = ev_order
+        self.makespan = makespan
+        self.restarts = ()
+
+    @property
+    def materialized(self) -> bool:
+        """True once any of the per-task lists has been built."""
+        return any(isinstance(getattr(self, s), list) for s in
+                   ("_start", "_end", "_ev_end", "_ev_order"))
 
 
 @dataclass
@@ -69,9 +103,11 @@ class GraphBatch:
     def ok(self, i: int) -> bool:
         return self.status[i] == 0
 
-    def sim(self, i: int) -> CompiledSim:
-        return _row_sim(self.ga, self.start, self.end, self.ev_end,
-                        self.ev_order, self.makespan, i)
+    def sim(self, i: int) -> NativeSim:
+        return NativeSim(self.start[i].copy(), self.end[i].copy(),
+                         self.ev_end[i].copy(),
+                         self.ev_order[i, :self.ga.n_disp].copy(),
+                         float(self.makespan[i]))
 
 
 class NativeRestarts:
@@ -138,15 +174,14 @@ class FaultBatch(GraphBatch):
 
     def restarts(self, i: int) -> NativeRestarts:
         m = int(self.rest_count[i])
-        return NativeRestarts(self.rest_dev[i, :m], self.rest_task[i, :m],
-                              self.rest_fail[i, :m], self.rest_resume[i, :m],
-                              self.rest_lost[i, :m])
+        return NativeRestarts(*(a[i, :m].copy() for a in (
+            self.rest_dev, self.rest_task, self.rest_fail,
+            self.rest_resume, self.rest_lost)))
 
-    def sim(self, i: int) -> CompiledSim:
+    def sim(self, i: int) -> NativeSim:
         s = super().sim(i)
-        return CompiledSim(start=s.start, end=s.end, ev_end=s.ev_end,
-                           ev_order=s.ev_order, makespan=s.makespan,
-                           restarts=self.restarts(i))
+        s.restarts = self.restarts(i)
+        return s
 
     def restart_stats(self, i: int):
         """``(n_restarts, downtime, lost_work)`` for row ``i``.

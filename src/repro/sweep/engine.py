@@ -169,8 +169,9 @@ class SweepEngine:
         ``phase_s`` attributes the engine's wall-clock between template
         compilation (+ cost models), re-timing (event simulation),
         bubble filling, and report assembly, so a sweep's
-        speedup is attributable to a phase.  Pool workers' phase time is
-        folded in as worker CPU seconds.
+        speedup is attributable to a phase.  Every phase runs in the
+        calling thread, so these are wall-clock seconds of this engine's
+        own calls.
         """
         timings = sum(len(t.timings) for t in self._templates.values())
         return {

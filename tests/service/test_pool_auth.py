@@ -1,11 +1,15 @@
 """Engine-pool concurrency, bearer-token auth, and worker-shard kinds.
 
-Three service behaviors this file pins down:
+Four service behaviors this file pins down:
 
 * A pooled service (``engine_pool > 1``) answers byte-identically to
   the single-engine serial pass — slot routing is a lock-contention
   detail, never a results detail — and concurrent cold misses from
   many client threads still agree.
+* Structure routing: grids of one schedule template that differ only
+  in the params their kind declares timing-only (``arch``,
+  ``hardware``, ``b_micro``; seeds and model for ``stochastic``) land
+  on one slot, so the pool compiles each template once.
 * Bearer-token auth: every endpoint 401s without the exact token,
   the reject counter ticks, and :class:`ServiceClient` sends the
   header when constructed with ``token=``.
@@ -17,6 +21,7 @@ Three service behaviors this file pins down:
 """
 
 import threading
+from contextlib import ExitStack
 
 import pytest
 
@@ -28,8 +33,9 @@ from repro.service import (
     ServiceHTTPError,
     ServiceServer,
 )
-from repro.service.app import EnginePool
-from repro.service.jobs import spec_from_request, sweep_request
+from repro.service import app
+from repro.service.app import DEFAULT_ENGINE_POOL, EnginePool
+from repro.service.jobs import MAX_UNITS, spec_from_request, sweep_request
 from repro.stochastic.model import StochasticModel
 from repro.sweep import SweepEngine
 
@@ -57,6 +63,36 @@ def _stochastic_body(**over):
     }
     body.update(over)
     return body
+
+
+#: One pipefisher template structure; grids add the timing-only params.
+PF_STRUCTURE = {"schedule": "1f1b", "depth": 4, "n_micro": 8,
+                "layers_per_stage": 1}
+
+
+def _pf_body(arch, hardware, b_micros):
+    return {"kind": "pipefisher",
+            "fixed": {**PF_STRUCTURE, "arch": arch, "hardware": hardware},
+            "grid": {"b_micro": list(b_micros)}}
+
+
+def _units(body):
+    return spec_from_request(sweep_request(
+        {k: v for k, v in body.items() if k != "inline"})).units()
+
+
+def _pick(pool, key):
+    """The slot ``key`` routes to (assigning one if the key is new)."""
+    with pool.route(key) as slot:
+        return slot
+
+
+def _slot(svc, body):
+    return _pick(svc.pool, svc._units_key(_units(body)))
+
+
+def _templates(slot):
+    return slot.engine.stats()["templates"]
 
 
 def _values(out):
@@ -126,8 +162,147 @@ class TestEnginePool:
 
     def test_slot_routing_is_deterministic(self):
         pool = EnginePool([SweepEngine() for _ in range(4)])
-        picks = {pool.slot("plan:xyz") for _ in range(8)}
+        picks = {_pick(pool, "plan:xyz") for _ in range(8)}
         assert len(picks) == 1
+
+    def test_new_keys_avoid_busy_slots(self):
+        pool = EnginePool([SweepEngine() for _ in range(2)])
+        with pool.route("heavy") as busy:
+            assert busy.pending == 1
+            light = _pick(pool, "light")
+            assert light is not busy
+            with pool.route("heavy") as again:  # a key keeps its slot
+                assert again is busy and busy.pending == 2
+        assert busy.pending == 0
+        # Idle slots take new keys by count, so keys spread evenly.
+        picks = [_pick(pool, f"k{i}") for i in range(6)]
+        assert busy.keys == light.keys == 4
+        assert picks.count(busy) == picks.count(light) == 3
+
+    def test_forgotten_routes_are_reassigned(self, monkeypatch):
+        monkeypatch.setattr(app, "MAX_ROUTES", 4)
+        pool = EnginePool([SweepEngine() for _ in range(3)])
+        for i in range(10):
+            _pick(pool, f"k{i}")
+        assert sum(s.keys for s in pool.slots) == 4
+        first = _pick(pool, "k9")
+        assert _pick(pool, "k9") is first
+
+    def test_routes_remember_fixed_size_keys(self):
+        # A full-size batch of a kind without timing params keys by one
+        # unit hash per unit: tens of KiB the pool must not keep.
+        units = _units(_sweep_body({"depth": list(range(1, 65)),
+                                    "b_micro": list(range(1, 65))}))
+        assert len(units) == MAX_UNITS
+        key = PlanningService._units_key(units)
+        assert len(key) > 50_000
+        pool = EnginePool([SweepEngine() for _ in range(2)])
+        _pick(pool, "small")
+        _pick(pool, key)
+        assert [len(k) for k in pool._routes] == [16, 16]
+        assert _pick(pool, key) is _pick(pool, key)
+
+
+class TestStructureRouting:
+    def test_one_structure_builds_one_template(self):
+        svc = PlanningService(engine_pool=4)
+        first = _pf_body("BERT-Base", "P100", [8, 16])
+        second = _pf_body("BERT-Large", "V100", [32])
+        slot = _slot(svc, first)
+        assert _slot(svc, second) is slot
+        svc.sweep(dict(first))
+        before = _templates(slot)
+        assert before.misses == 1
+        out = svc.sweep(dict(second))
+        assert out["executed"] == 1
+        after = _templates(slot)
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+        others = [s for s in svc.pool.slots if s is not slot]
+        assert all(_templates(s).lookups == 0 for s in others)
+
+    def test_stochastic_seeds_share_their_structures_slot(self):
+        svc = PlanningService(engine_pool=4)
+        first = _stochastic_body()
+        other_seeds = _stochastic_body(grid={"seed": [7, 8]})
+        other_model = _stochastic_body()
+        other_model["fixed"].update(hardware="V100", jitter_sigma=0.05)
+        slot = _slot(svc, first)
+        assert _slot(svc, other_seeds) is slot
+        assert _slot(svc, other_model) is slot
+        svc.sweep(dict(first))
+        misses = _templates(slot).misses
+        svc.sweep(dict(other_seeds))
+        assert _templates(slot).misses == misses
+
+    def test_identical_requests_share_a_key(self):
+        body = _pf_body("BERT-Base", "P100", [8, 16])
+        key = PlanningService._units_key(_units(body))
+        assert PlanningService._units_key(_units(dict(body))) == key
+        pool = EnginePool([SweepEngine() for _ in range(4)])
+        assert _pick(pool, key) is _pick(
+            pool, PlanningService._units_key(_units(body)))
+
+    def test_structure_changes_change_the_key(self):
+        body = _pf_body("BERT-Base", "P100", [8])
+        deeper = _pf_body("BERT-Base", "P100", [8])
+        deeper["fixed"]["depth"] = 8
+        assert (PlanningService._units_key(_units(body))
+                != PlanningService._units_key(_units(deeper)))
+
+    def test_kinds_without_timing_params_key_by_unit_hash(self):
+        units = _units(_sweep_body({"depth": [4, 8], "b_micro": [8, 16]}))
+        assert PlanningService._units_key(units) == \
+            "|".join(u.key for u in units)
+
+    def test_pooled_answers_match_a_single_engine(self):
+        bodies = [_pf_body("BERT-Base", "P100", [8, 16]),
+                  _pf_body("BERT-Large", "V100", [32]),
+                  _stochastic_body(),
+                  _stochastic_body(grid={"seed": [7, 8]})]
+        deeper = _pf_body("BERT-Base", "RTX3090", [8])
+        deeper["fixed"]["depth"] = 8
+        bodies.append(deeper)
+        pooled = PlanningService(engine_pool=4)
+        single = PlanningService(engine=SweepEngine())
+        for body in bodies:
+            assert _values(pooled.sweep(dict(body))) == \
+                _values(single.sweep(dict(body)))
+
+    @pytest.mark.parametrize("busy", range(DEFAULT_ENGINE_POOL))
+    def test_default_pool_holds_a_90_structure_working_set(self, busy):
+        # 5 schedules x 3 depths x 3 micro-batch factors x 2 layers per
+        # stage, as in the fig6-axis planning benchmark, routed while
+        # ``busy`` slots stay held by requests in flight: no slot may
+        # get more structures than one engine's template cache holds,
+        # or cold sweeps would evict templates they come back to.
+        pool = EnginePool([SweepEngine()
+                           for _ in range(DEFAULT_ENGINE_POOL)])
+        per_slot = {id(s): 0 for s in pool.slots}
+        with ExitStack() as held:
+            for i in range(busy):
+                held.enter_context(pool.route(f"in-flight {i}"))
+            assert sum(s.pending > 0 for s in pool.slots) == busy
+            for schedule in ("1f1b", "chimera", "gpipe", "interleaved",
+                             "zb1f1b"):
+                for depth in (4, 8, 16):
+                    for factor in (1, 2, 4):
+                        for lps in (1, 2):
+                            units = _units({
+                                "kind": "pipefisher",
+                                "fixed": {"arch": "BERT-Base",
+                                          "schedule": schedule,
+                                          "depth": depth,
+                                          "n_micro_factor": factor,
+                                          "layers_per_stage": lps},
+                                "grid": {"hardware": ["P100", "V100"],
+                                         "b_micro": [1, 2]}})
+                            slot = _pick(
+                                pool, PlanningService._units_key(units))
+                            per_slot[id(slot)] += 1
+        assert sum(per_slot.values()) == 90
+        capacity = SweepEngine().stats()["templates"].maxsize
+        assert max(per_slot.values()) <= capacity, per_slot
 
 
 class TestWorkerShardKinds:

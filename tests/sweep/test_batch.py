@@ -8,10 +8,13 @@ floats, no tolerances).  One fuzz case per registered schedule family,
 20 seeds each.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
+from repro.campaign.units import get_unit_kind
 from repro.perfmodel.arch import BERT_BASE
 from repro.perfmodel.hardware import HARDWARE, P100
 from repro.pipefisher.runner import PipeFisherRun
@@ -85,6 +88,57 @@ def test_fill_batch_matches_reference(name):
         assert ref.span == got.span
         assert dict(ref.device_steps) == dict(got.device_steps)
         assert ref.segments == got.segments
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name", SCHEDULE_CASES)
+def test_native_rows_materialize_bit_for_bit(name):
+    point = _point(name)
+    graph = point.template.pf_graph
+    tables = _fuzz_tables(point.pf_durs, 3)
+    gb = sweep_batch.simulate_graph_batch(graph, tables)
+    for i, table in enumerate(tables):
+        ref, got = simulate_compiled(graph, table), gb.sim(i)
+        assert not got.materialized
+        for field in ("start", "end", "ev_end"):
+            values = getattr(got, field)
+            assert type(values) is list
+            assert all(type(v) is float for v in values)
+            assert _hex(values) == _hex(getattr(ref, field)), field
+        assert got.ev_order == ref.ev_order
+        assert all(type(v) is int for v in got.ev_order)
+        assert got.materialized
+        assert got.start is got.start  # built once, then kept
+
+
+def test_native_row_does_not_keep_its_batch_alive():
+    point = _point("chimera")
+    graph = point.template.base_graph
+    gb = sweep_batch.simulate_graph_batch(
+        graph, _fuzz_tables(point.base_durs, 4))
+    batch_arrays = [weakref.ref(a) for a in
+                    (gb.start, gb.end, gb.ev_end, gb.ev_order)]
+    row = gb.sim(2)
+    del gb
+    gc.collect()
+    assert all(ref() is None for ref in batch_arrays)
+    assert len(row.start) == graph.n and row.makespan > 0.0
+
+
+def test_scalar_reports_never_build_row_lists():
+    engine = SweepEngine()
+    run = PipeFisherRun(hardware=P100, **CASES["chimera"])
+    report = engine.run(run)
+    kind = get_unit_kind("pipefisher")
+    kind.serialize(report, {})
+    ev = engine.nominal_evaluation(engine.compiled_point(run))
+    assert engine.stats()["native_evals"] == 1
+    assert not ev.base.materialized and not ev.pf.materialized
+    report.baseline_timeline
+    assert ev.base.materialized and not ev.pf.materialized
 
 
 def test_failed_rows_fall_back_per_point():

@@ -16,6 +16,14 @@ is *slower* than the per-matrix SciPy loop on single-threaded OpenBLAS:
 FLOPs that ``potri`` needs, so the direct Cholesky-inverse LAPACK driver
 is the one that actually wins (1.5-3x; see ``BENCH_kfac.json``).
 
+``spotri`` fills only the lower triangle, and ``spotrf`` (``clean=1``)
+has zeroed the upper one, so each result is mirrored straight into its
+output slot as ``L + L^T`` with the doubled diagonal restored: exact,
+because every off-diagonal sum has one +0 addend.  No stack-sized
+temporary is built.  :func:`batched_pair_inverses` damps its own
+dimension-group stacks in place, so each factor is copied once before
+LAPACK.
+
 Damping follows Martens & Grosse (2015) §6.2: with overall damping
 ``lambda``, the factors receive ``pi * sqrt(lambda)`` and
 ``sqrt(lambda) / pi`` respectively, where
@@ -77,29 +85,40 @@ def batched_damped_cholesky_inverse(
     :func:`damped_cholesky_inverse`.
     """
     stack = np.asarray(stack)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"expected (L, d, d) stack, got shape {stack.shape}")
-    n_mats, d = stack.shape[0], stack.shape[1]
+    return _invert_owned_stack(stack.astype(np.float32), dampings, stack)
+
+
+def _invert_owned_stack(
+    work: np.ndarray, dampings: np.ndarray | float, undamped
+) -> np.ndarray:
+    """:func:`batched_damped_cholesky_inverse` of a float32 stack it owns.
+
+    ``work`` is damped in place; ``undamped[i]`` is matrix ``i`` as the
+    caller gave it, which the float64 fallback inverts.
+    """
+    if work.ndim != 3 or work.shape[1] != work.shape[2]:
+        raise ValueError(f"expected (L, d, d) stack, got shape {work.shape}")
+    n_mats, d = work.shape[0], work.shape[1]
     damp = np.broadcast_to(np.asarray(dampings, dtype=np.float64), (n_mats,))
     if np.any(damp < 0):
         raise ValueError("damping must be non-negative")
-
-    damped = stack.astype(np.float32, copy=True)
     idx = np.arange(d)
-    damped[:, idx, idx] += damp.astype(np.float32)[:, None]
+    work[:, idx, idx] += damp.astype(np.float32)[:, None]
 
     out = np.empty((n_mats, d, d), dtype=np.float32)
     for i in range(n_mats):
-        c, info = _lapack.spotrf(damped[i], lower=1, overwrite_a=False)
+        # clean=1: spotrf zeroes the upper triangle, which spotri leaves
+        # untouched, so the mirror below reads exact zeros there.
+        c, info = _lapack.spotrf(work[i], lower=1, clean=1,
+                                 overwrite_a=False)
         if info == 0:
             inv, info = _lapack.spotri(c, lower=1, overwrite_c=True)
         if info != 0:
-            out[i] = damped_cholesky_inverse(stack[i], float(damp[i]))
-            continue
-        out[i] = inv
-    # potri fills one triangle; mirror it across the diagonal in one pass.
-    lower = np.tril(out)
-    out = lower + np.transpose(np.tril(out, -1), (0, 2, 1))
+            inv = np.tril(damped_cholesky_inverse(undamped[i], float(damp[i])))
+        # Mirror the lower triangle: L + L^T is exact off the diagonal
+        # (one addend is +0) and doubles the diagonal, which is restored.
+        np.add(inv, inv.T, out=out[i])
+        np.fill_diagonal(out[i], inv.diagonal())
     return out
 
 
@@ -196,7 +215,11 @@ def batched_pair_inverses(
         damp = np.array(
             [(damp_a if side == 0 else damp_b)[i] for i, side in members]
         )
-        inv_stack = batched_damped_cholesky_inverse(stacks[dim], damp)
+        # The stack is this function's own copy, already float32 for
+        # K-FAC's factors: the inversion damps it in place, no second copy.
+        inv_stack = _invert_owned_stack(
+            np.asarray(stacks[dim], dtype=np.float32), damp,
+            [pairs[i][side] for i, side in members])
         for j, (i, side) in enumerate(members):
             out[i][side] = inv_stack[j]
     return [(a, b) for a, b in out]  # type: ignore[misc]

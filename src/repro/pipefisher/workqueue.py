@@ -10,6 +10,7 @@ allreduce per device.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from repro.perfmodel.costs import StageCosts
@@ -55,7 +56,16 @@ class KFACWorkItem:
 
     @property
     def assigned(self) -> bool:
-        return self.remaining <= 1e-12
+        """Placed in full, up to the rounding of segment ends.
+
+        Each end ``start + piece`` is rounded to a double, so a segment
+        can come up short by half an ulp of its end — more than 1e-12
+        once ends pass ~8.2e3 s.
+        """
+        slack = 1e-12
+        if self.segments:
+            slack += len(self.segments) * math.ulp(self.segments[-1][1])
+        return self.remaining <= slack
 
     @property
     def start(self) -> float | None:

@@ -35,7 +35,11 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define TIME_EPS 1e-12  /* executor tie epsilon */
+/* Executor tie epsilon.  Absolute: above ~8.2e3 s one ulp of a double
+ * exceeds it, so tie batching is exact equality there.  Not widened (that
+ * would merge distinct instants at small times); the filler's completion
+ * test does not depend on it to terminate. */
+#define TIME_EPS 1e-12
 #define EPS 1e-9        /* filler placement epsilon */
 
 /* status codes (per point) */
@@ -571,8 +575,21 @@ static int fill_one(const Graph *pf, const QDesc *q,
                     if (win_pos < 0) break;
                     double rem = dur[win_pos] - placed[win_pos];
                     double room = b1 - st;
-                    double piece = rem < room ? rem : room;
+                    /* Completion follows from the branch taken, never from
+                     * re-subtracting placed: far from 0, st + rem can round
+                     * back to st (see TIME_EPS) and the item would spin. */
+                    double piece;
+                    int done;
+                    if (rem < room) {
+                        piece = rem;
+                        done = 1;
+                    } else {
+                        /* fills the bubble; a sliver <= TIME_EPS is done */
+                        piece = room;
+                        done = rem - room <= TIME_EPS;
+                    }
                     double e = st + piece;
+                    if (!done && e <= t) return ST_NO_PROGRESS;
                     if (nseg >= seg_cap) return ST_SEG_OVERFLOW;
                     int gi = base + win_pos;
                     seg_item[nseg] = gi;
@@ -585,7 +602,7 @@ static int fill_one(const Graph *pf, const QDesc *q,
                     nseg++;
                     placed[win_pos] = placed[win_pos] + (e - st);
                     t = e;
-                    if (dur[win_pos] - placed[win_pos] <= 1e-12) {
+                    if (done) {
                         remaining--;
                         if (from_future) {
                             memmove(future + win_at, future + win_at + 1,

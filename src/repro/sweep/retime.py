@@ -34,6 +34,11 @@ from repro.sweep.template import CompiledGraph, CompiledQueues, ScheduleTemplate
 
 #: Two simulated instants closer than this are the same instant (guards
 #: float drift when equal end times are summed along different dep paths).
+#: It is absolute, so above ~8.2e3 s (where one ulp of a double exceeds
+#: 1e-12) it is below one ulp and tie batching is exact equality there.
+#: Widening it would merge distinct instants at small times; code that
+#: must terminate at any magnitude (the filler's completion test) does
+#: not rely on it.
 _TIME_EPS = 1e-12
 #: Placement epsilon of the bubble filler.
 _EPS = 1e-9
@@ -388,8 +393,15 @@ def fill_queues(
     with the smallest ``(start, -ready, pos)``; an item too long for the
     bubble is split, and each piece must respect ``min_chunk``.
 
-    Raises RuntimeError when a device with work has no bubbles, makes no
-    progress for a whole step, or needs more than ``max_steps`` steps.
+    An item is done when its whole remainder fits the room left (or
+    what would be left over is at most ``_TIME_EPS``) — decided by the
+    branch taken, so a remainder below one ulp of the cursor still
+    completes.  Every placement either finishes its item or advances the
+    cursor.
+
+    Raises RuntimeError when a device with work has no bubbles, places a
+    piece that does neither, makes no progress for a whole step, or
+    needs more than ``max_steps`` steps.
     """
     seg_out: dict[int, list[list[tuple[float, float]]]] = {}
     steps_out: dict[int, int] = {}
@@ -474,12 +486,29 @@ def fill_queues(
                         break
                     rem = dur[win_pos] - placed[win_pos]
                     room = b1 - st
-                    piece = rem if rem < room else room
+                    # Completion follows from the branch taken, never
+                    # from re-subtracting ``placed``: far from 0, st + rem
+                    # can round back to st (see _TIME_EPS), and an item
+                    # whose placed total never moves would spin forever.
+                    if rem < room:
+                        piece = rem
+                        done = True
+                    else:
+                        # Fills the bubble; a leftover sliver of at most
+                        # _TIME_EPS counts as done.
+                        piece = room
+                        done = rem - room <= _TIME_EPS
                     e = st + piece
+                    if not done and e <= t:
+                        raise RuntimeError(
+                            f"device {dev}: item {items[win_pos].iid} "
+                            f"placed without advancing the cursor at "
+                            f"t={t!r} (step {step})"
+                        )
                     segments[win_pos].append((st, e))
                     placed[win_pos] = placed[win_pos] + (e - st)
                     t = e
-                    if dur[win_pos] - placed[win_pos] <= 1e-12:
+                    if done:
                         remaining -= 1
                         if from_future:
                             del future[win_at]
@@ -510,8 +539,9 @@ def fill_queues(
             for p in placed:
                 total += p
             if total <= last_placed_duration + _EPS:
+                waiting = {pos for _, pos in now} | {pos for _, pos in future}
                 stuck = [items[pos].iid for pos in range(n)
-                         if dur[pos] - placed[pos] > 1e-12]
+                         if pos in waiting or dep_count[pos] > 0]
                 raise RuntimeError(
                     f"device {dev}: no placement progress in step {step}; "
                     f"stuck items: {stuck[:5]}"

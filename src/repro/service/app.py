@@ -14,9 +14,11 @@ Stdlib only (``http.server.ThreadingHTTPServer``), one
   rate, flattened engine counters, unit-cost/budget accounting.
 
 Every configuration evaluated anywhere — inline sweep, job, or CLI
-campaign — lands in one result store keyed by the canonical point hash,
-so repeat queries are cache hits and service values are bit-identical
-to ``repro campaign run`` of the same grid.
+campaign — runs through the one
+:func:`~repro.campaign.units.execute_unit` and lands in one result
+store keyed by the canonical point hash, so repeat queries are cache
+hits and service values are bit-identical to ``repro campaign run`` of
+the same grid.
 
 Concurrency model: the HTTP layer threads freely; evaluation routes
 each request to one slot of a small :class:`EnginePool` by a structural
@@ -389,14 +391,17 @@ class PlanningService:
     def _execute_units(self, units, charge: bool = True):
         """Serve ``units`` from the store, executing the misses.
 
-        Store misses run exactly the campaign runner's per-unit calls
-        (``kind.execute`` then ``kind.serialize`` against the slot's
-        engine), so the recorded values are bit-identical to a
-        ``repro campaign run`` of the same grid.  Only the routed slot
-        is locked; the store and budget are internally atomic, so
-        distinct grids execute concurrently.
+        Store misses run through
+        :func:`~repro.campaign.units.execute_unit` against the slot's
+        engine — the campaign runner's own per-unit call — so the
+        recorded values are bit-identical to a ``repro campaign run`` of
+        the same grid.  A unit whose params its kind rejects
+        (``KeyError``/``TypeError``/``ValueError``) answers 400; on any
+        exception the cost of the units not executed is refunded.  Only
+        the routed slot is locked; the store and budget are internally
+        atomic, so distinct grids execute concurrently.
         """
-        from repro.campaign.units import UnitContext, get_unit_kind
+        from repro.campaign.units import UnitContext, execute_unit
 
         with self.pool.route(self._units_key(units)) as slot:
             cost = sum(1 for u in units if not self.store.contains(u.key))
@@ -409,21 +414,16 @@ class PlanningService:
                 for u in units:
                     rec = self.store.get(u.key)
                     if rec is None:
-                        kind = get_unit_kind(u.kind)
-                        params = u.params_dict()
-                        started = perf_counter()
                         try:
-                            obj = kind.execute(params, ctx)
-                        except (KeyError, ValueError) as exc:
+                            _, value, elapsed = execute_unit(u, ctx)
+                        except (KeyError, TypeError, ValueError) as exc:
                             raise ServiceError(
                                 400, f"unit {u.key} rejected: {exc}") from exc
                         rec = self.store.put(store_record(
-                            u.key, u.kind, params,
-                            kind.serialize(obj, params),
-                            perf_counter() - started))
+                            u.key, u.kind, u.params_dict(), value, elapsed))
                         executed += 1
                     out.append(rec)
-            except ServiceError:
+            except Exception:
                 if charge:
                     self.metrics.refund(cost - executed)
                 raise

@@ -129,8 +129,8 @@ def replicate_batch(point, nominal, model: StochasticModel,
     bit-identical to the scalar path's.
 
     ``engine``, when given, receives counter credit: ``native_evals`` /
-    ``batched_points`` / ``mc_batched_replicates`` per natively re-timed
-    replicate and ``mc_faulty_batched`` for the fault-carrying subset.
+    ``mc_batched_replicates`` per natively re-timed replicate and
+    ``mc_faulty_batched`` for the fault-carrying subset.
     """
     from repro.sweep import batch as _batch
     from repro.sweep import native as _native
@@ -212,7 +212,6 @@ def replicate_batch(point, nominal, model: StochasticModel,
         }
     if engine is not None and batched:
         engine.native_evals += batched
-        engine.batched_points += batched
         engine.mc_batched_replicates += batched
         engine.mc_faulty_batched += faulty_batched
     return records

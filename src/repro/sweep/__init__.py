@@ -15,11 +15,11 @@ Quick use::
     from repro.pipefisher.runner import PipeFisherRun
 
     engine = SweepEngine()
-    reports = engine.run_many(
-        PipeFisherRun(schedule="chimera", arch=arch, hardware=hw,
-                      b_micro=b, depth=16, n_micro=16)
+    reports = [
+        engine.run(PipeFisherRun(schedule="chimera", arch=arch, hardware=hw,
+                                 b_micro=b, depth=16, n_micro=16))
         for b in (4, 8, 16, 32)
-    )
+    ]
     engine.stats()  # cache hit/miss + re-execution counters
 
 Engine/template names are provided lazily (PEP 562): the pipeline

@@ -9,8 +9,9 @@ the core cannot handle (deadlock, filler failure, structural feature it
 doesn't model) reports a non-OK status (``ok(i)`` is False), and the
 caller re-runs that point through the pure-python reference path, which
 also raises the reference's exact errors.  The two callers are
-:func:`repro.sweep.engine.native_evaluations` (sweep points) and
-:func:`repro.stochastic.mc.replicate_batch` (Monte Carlo seed blocks).
+:func:`repro.sweep.engine.native_evaluation` (one sweep point per call)
+and :func:`repro.stochastic.mc.replicate_batch` (Monte Carlo seed
+blocks, the one multi-row caller).
 
 Everything returned is reference-typed, with the per-task and per-item
 lists materialized lazily: :class:`NativeSim` quacks like

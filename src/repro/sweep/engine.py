@@ -23,19 +23,17 @@ the reference order, and utilizations are folded with the reference's
 exact summation order.
 
 An uncached duration table is timed one of two ways, both bit-identical:
-the native core (:mod:`repro.sweep.batch`, many tables of one template
-per pass) through :func:`native_evaluations`, or the pure-python
-reference (:mod:`repro.sweep.retime`) through :func:`python_evaluation`
-for the rows the core cannot serve.  :meth:`SweepEngine._evaluate`
-times one table at a time; :meth:`SweepEngine.run_many` primes a window's
-tables per template in one native pass first.
+the native core (:mod:`repro.sweep.batch`) through
+:func:`native_evaluation`, or the pure-python reference
+(:mod:`repro.sweep.retime`) through :func:`python_evaluation` for the
+tables the core cannot serve.  :meth:`SweepEngine._evaluate` times one
+table per call; a grid is a loop over :meth:`SweepEngine.run`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from time import perf_counter
 
 from repro.perfmodel.arch import TransformerArch
@@ -138,8 +136,6 @@ class SweepEngine:
         self.reexecutions = 0
         #: Re-executions served by the native core (subset of the above).
         self.native_evals = 0
-        #: Points evaluated through a multi-point vectorized pass.
-        self.batched_points = 0
         #: Monte Carlo replicates re-timed through a native batch pass.
         self.mc_batched_replicates = 0
         #: Fault-carrying subset of the above (restart-replay core).
@@ -158,7 +154,6 @@ class SweepEngine:
         self.timing_hits = 0
         self.reexecutions = 0
         self.native_evals = 0
-        self.batched_points = 0
         self.mc_batched_replicates = 0
         self.mc_faulty_batched = 0
         self.phase_s = dict.fromkeys(self.phase_s, 0.0)
@@ -185,7 +180,6 @@ class SweepEngine:
             "reexecutions": self.reexecutions,
             "native_evals": self.native_evals,
             "delta_retimes": 0,
-            "batched_points": self.batched_points,
             "mc_batched_replicates": self.mc_batched_replicates,
             "mc_faulty_batched": self.mc_faulty_batched,
             "phase_s": dict(self.phase_s),
@@ -343,79 +337,6 @@ class SweepEngine:
         return self._evaluate(point.template, point.base_durs,
                               point.pf_durs, point.qdurs)
 
-    def run_many(self, runs, window: int = 64):
-        """Evaluate any iterable of points, streaming reports lazily.
-
-        Points are consumed in windows of ``window``; each window's
-        uncached duration tables are grouped by template and evaluated
-        as one vectorized batch through the native core (falling back
-        per point where unsupported), then reports stream out in input
-        order.  Results, and the evolution of every cache and counter a
-        consumer can observe, are identical to looping :meth:`run`.
-        """
-        def gen():
-            it = iter(runs)
-            while True:
-                chunk = list(islice(it, window))
-                if not chunk:
-                    return
-                points = [None] * len(chunk)
-                for i, r in enumerate(chunk):
-                    self.runs += 1
-                    points[i] = self.compiled_point(r)
-                primed = self._prime_batch(points)
-                yield from self._consume(chunk, points, primed)
-        return gen()
-
-    def _consume(self, chunk, points, primed):
-        """Yield the window's reports in order, committing primed work.
-
-        Primed evaluations enter the timing cache at consumption time —
-        the same order a sequential loop would put them — so LRU
-        eviction and every counter evolve exactly as without batching.
-        """
-        for r, p in zip(chunk, points):
-            dur_key = (p.base_durs, p.pf_durs, p.qdurs)
-            ev = primed.pop((id(p.template), dur_key), None)
-            if ev is not None:
-                p.template.timings.put(dur_key, ev)
-            else:
-                ev = self._evaluate(p.template, *dur_key)
-            yield self._build_report(r, p.template, p.qdurs, ev)
-
-    def _prime_batch(self, points) -> dict:
-        """Evaluate a window's uncached tables template-by-template.
-
-        The window's distinct un-evaluated tables are grouped per
-        template in first-appearance order, and each group runs through
-        the native core as one vectorized pass.  Rows that cannot be
-        primed (no native core, fallback-needed statuses) are simply
-        absent — :meth:`_consume` sends them through the sequential
-        path, so the reference's errors surface in input order.
-        """
-        groups: dict[int, tuple] = {}
-        seen: set = set()
-        for p in points:
-            dur_key = (p.base_durs, p.pf_durs, p.qdurs)
-            k = (id(p.template), dur_key)
-            if k in seen or dur_key in p.template.timings:
-                continue
-            seen.add(k)
-            groups.setdefault(id(p.template), (p.template, []))[1].append(
-                dur_key)
-        primed: dict = {}
-        for template, keys in groups.values():
-            if len(keys) < 2:
-                continue
-            evs = native_evaluations(template, keys, self.phase_s)
-            for dur_key, ev in zip(keys, evs):
-                if ev is not None:
-                    self.reexecutions += 1
-                    self.native_evals += 1
-                    self.batched_points += 1
-                    primed[(id(template), dur_key)] = ev
-        return primed
-
     # -- internals ----------------------------------------------------------------
 
     @staticmethod
@@ -456,7 +377,7 @@ class SweepEngine:
             self.timing_hits += 1
             return cached
 
-        evaluation = native_evaluations(template, [dur_key], self.phase_s)[0]
+        evaluation = native_evaluation(template, dur_key, self.phase_s)
         if evaluation is not None:
             self.native_evals += 1
         else:
@@ -498,46 +419,41 @@ class SweepEngine:
         return report
 
 
-def native_evaluations(template: ScheduleTemplate, dur_keys: list,
-                       phase_s: dict) -> list:
-    """Evaluate many duration tables of one template in one native pass.
+def native_evaluation(template: ScheduleTemplate, dur_key: tuple,
+                      phase_s: dict) -> _Evaluation | None:
+    """Evaluate one duration table through the native core.
 
-    Returns one entry per key: an :class:`_Evaluation` for each row the
-    core served, or None where the row needs :func:`python_evaluation` (core
+    Returns None where the table needs :func:`python_evaluation` (core
     unavailable for this template, or a non-OK sim/fill status) — the
-    reference then raises its own errors for that row.  Wall-clock is
-    added to ``phase_s["retime"]`` and ``phase_s["fill"]``.
+    reference then raises its own errors.  Wall-clock is added to
+    ``phase_s["retime"]`` and ``phase_s["fill"]``.
     """
-    out: list = [None] * len(dur_keys)
     if not _batch.batching_supported(template):
-        return out
+        return None
+    base_durs, pf_durs, qdurs = dur_key
     t_begin = perf_counter()
-    gb_b = _batch.simulate_graph_batch(
-        template.base_graph, [k[0] for k in dur_keys])
-    gb_p = _batch.simulate_graph_batch(
-        template.pf_graph, [k[1] for k in dur_keys])
+    gb_b = _batch.simulate_graph_batch(template.base_graph, [base_durs])
+    gb_p = _batch.simulate_graph_batch(template.pf_graph, [pf_durs])
     if gb_b is None or gb_p is None:
         phase_s["retime"] += perf_counter() - t_begin
-        return out
+        return None
     base_util = _batch.windowed_utilization_batch(gb_b)
     phase_s["retime"] += perf_counter() - t_begin
     t_begin = perf_counter()
-    fb = _batch.fill_graph_batch(template, gb_p, [k[2] for k in dur_keys])
-    if fb is not None:
-        for i in range(len(dur_keys)):
-            if not (gb_b.ok(i) and gb_p.ok(i) and fb.ok(i)):
-                continue
-            pf = gb_p.sim(i)
-            out[i] = _Evaluation(
-                base=gb_b.sim(i),
-                pf=pf,
-                fill=fb.fill(i, pf.makespan),
-                base_util=float(base_util[i]),
-                pf_util=float(fb.pf_util[i]),
-                refresh=max(int(fb.refresh[i]), 1),
-            )
+    evaluation = None
+    fb = _batch.fill_graph_batch(template, gb_p, [qdurs])
+    if fb is not None and gb_b.ok(0) and gb_p.ok(0) and fb.ok(0):
+        pf = gb_p.sim(0)
+        evaluation = _Evaluation(
+            base=gb_b.sim(0),
+            pf=pf,
+            fill=fb.fill(0, pf.makespan),
+            base_util=float(base_util[0]),
+            pf_util=float(fb.pf_util[0]),
+            refresh=max(int(fb.refresh[0]), 1),
+        )
     phase_s["fill"] += perf_counter() - t_begin
-    return out
+    return evaluation
 
 
 def python_evaluation(template: ScheduleTemplate, dur_key: tuple,
@@ -546,7 +462,7 @@ def python_evaluation(template: ScheduleTemplate, dur_key: tuple,
 
     Simulates both graphs, fills the bubbles, and folds the
     utilizations; wall-clock is added to ``phase_s`` like
-    :func:`native_evaluations`.
+    :func:`native_evaluation`.
     """
     base_durs, pf_durs, qdurs = dur_key
     t_begin = perf_counter()

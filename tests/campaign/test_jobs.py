@@ -63,7 +63,7 @@ def test_jobs_records_carry_phase_and_batch_counters(spec, tmp_path):
         eng = rec["engine"]
         for phase in ("template_build", "retime", "fill", "report"):
             assert f"phase_{phase}_s" in eng
-        for counter in ("native_evals", "batched_points"):
+        for counter in ("native_evals", "mc_batched_replicates"):
             assert counter in eng
     delta = result.engine_delta
     assert delta["runs"] == len(spec.units())

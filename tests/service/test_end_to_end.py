@@ -41,11 +41,24 @@ def _assert_bit_identical(service_units, campaign_values):
             canonical_json(campaign_values[unit["key"]]), unit["key"]
 
 
-def test_inline_sweep_matches_campaign_runner():
+#: A simulator grid: its units run through ``engine.run``.
+PIPEFISHER_BODY = {
+    "kind": "pipefisher",
+    "fixed": {"arch": "BERT-Base", "hardware": "P100", "schedule": "1f1b",
+              "n_micro": 8},
+    "grid": {"depth": [4, 8], "b_micro": [8, 16]},
+}
+
+
+@pytest.mark.parametrize("body", [GRID_BODY, PIPEFISHER_BODY],
+                         ids=["perf_report", "pipefisher"])
+def test_inline_sweep_matches_campaign_runner(body):
+    """Both paths execute each unit through ``execute_unit``; the
+    served record and the run-DB record carry equal values."""
     svc = PlanningService(engine=SweepEngine())
-    out = svc.sweep(dict(GRID_BODY))
+    out = svc.sweep(dict(body))
     assert out["mode"] == "inline" and out["executed"] == 4
-    spec = spec_from_request(sweep_request(dict(GRID_BODY)))
+    spec = spec_from_request(sweep_request(dict(body)))
     _assert_bit_identical(out["units"], _campaign_values(spec))
 
 

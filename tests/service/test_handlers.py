@@ -33,6 +33,30 @@ def _sweep_body(grid, **over):
     return body
 
 
+PF_FIXED = {"arch": "BERT-Base", "hardware": "P100", "schedule": "1f1b",
+            "depth": 4}
+
+
+def _pf_body(**fixed):
+    return {"kind": "pipefisher",
+            "fixed": {**PF_FIXED, "n_micro": 8, **fixed},
+            "grid": {"b_micro": [8, 16]}}
+
+
+#: Grids that expand fine but whose params the unit kind rejects.
+MALFORMED_UNIT_BODIES = (
+    _sweep_body({"depth": [4]}),                      # b_micro missing
+    _pf_body(bogus=1),                                # unknown param
+    _pf_body(depth="4"),                              # wrong type
+    {"kind": "pipefisher",                            # non-integer n_micro
+     "fixed": {**PF_FIXED, "n_micro_factor": 1.5},
+     "grid": {"b_micro": [8, 16]}},
+    _sweep_body({"depth": [4, 8]}, fixed={**FIXED, "b_micro": None}),
+)
+MALFORMED_UNIT_IDS = ("missing-param", "unknown-param", "str-depth",
+                      "fractional-n-micro", "null-b-micro")
+
+
 @pytest.fixture()
 def svc():
     return PlanningService(engine=SweepEngine())
@@ -120,13 +144,12 @@ class TestSweepEndpoint:
                 svc.sweep(body)
             assert exc.value.status == 400
 
-    def test_unit_execution_errors_are_400_not_500(self, svc):
+    @pytest.mark.parametrize("body", MALFORMED_UNIT_BODIES,
+                             ids=MALFORMED_UNIT_IDS)
+    def test_unit_execution_errors_are_400_not_500(self, svc, body):
         # A structurally valid grid whose params the unit kind rejects.
         with pytest.raises(ServiceError) as exc:
-            svc.sweep({"kind": "perf_report",
-                       "fixed": {"arch": "BERT-Large", "hardware": "P100",
-                                 "schedule": "chimera"},
-                       "grid": {"depth": [4]}})  # b_micro missing
+            svc.sweep(body)
         assert exc.value.status == 400
         assert "rejected" in exc.value.message
 
@@ -168,6 +191,16 @@ class TestBudget:
         # Cache hits are free: the exhausted budget still serves repeats.
         again = svc.sweep(body)
         assert again["cached"] == 2 and again["cost_units"] == 0
+
+    def test_rejected_units_refund_their_budget(self):
+        svc = PlanningService(engine_pool=1, budget_units=10)
+        for body in MALFORMED_UNIT_BODIES:
+            with pytest.raises(ServiceError) as exc:
+                svc.sweep(body)
+            assert exc.value.status == 400
+        assert svc.metrics_snapshot()["budget"]["charged_units"] == 0
+        out = svc.sweep(_pf_body())
+        assert out["executed"] == 2 and out["cost_units"] == 2
 
     def test_budget_appears_in_metrics(self):
         svc = PlanningService(engine=SweepEngine(), budget_units=10)

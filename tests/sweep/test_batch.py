@@ -1,8 +1,7 @@
 """Batched re-timing must be bit-identical to the per-point reference.
 
-Property tests for the core invariant: every path that evaluates a
-compiled point — native batched sim/fill and the ``run_many``
-streaming loop — produces exactly the values the pure-python
+Property tests for the core invariant: the native batched sim/fill
+produces exactly the values the pure-python
 :func:`~repro.sweep.retime.simulate_compiled` path does (``==`` on
 floats, no tolerances).  One fuzz case per registered schedule family,
 20 seeds each.
@@ -15,17 +14,13 @@ import weakref
 import pytest
 
 from repro.campaign.units import get_unit_kind
-from repro.perfmodel.arch import BERT_BASE
-from repro.perfmodel.hardware import HARDWARE, P100
+from repro.perfmodel.hardware import P100
 from repro.pipefisher.runner import PipeFisherRun
 from repro.sweep import SweepEngine
 from repro.sweep import batch as sweep_batch
 from repro.sweep import native
 from repro.sweep.retime import fill_compiled, simulate_compiled
-from tests.sweep.test_engine_equivalence import (
-    CASES,
-    assert_reports_identical,
-)
+from tests.sweep.test_engine_equivalence import CASES
 
 #: One representative case per registered schedule family.
 SCHEDULE_CASES = ("gpipe", "1f1b", "chimera", "interleaved", "zb1f1b")
@@ -153,71 +148,6 @@ def test_failed_rows_fall_back_per_point():
             for i in range(4)]
     for table, got in zip(tables, sims):
         _assert_sims_equal(simulate_compiled(graph, table), got)
-
-
-def _grid_runs():
-    runs = []
-    for hw in ("P100", "V100", "RTX3090"):
-        for b in (4, 8, 16, 32):
-            runs.append(PipeFisherRun(
-                schedule="chimera", arch=BERT_BASE, hardware=HARDWARE[hw],
-                b_micro=b, depth=8, n_micro=8))
-    for b in (8, 16, 32):
-        runs.append(PipeFisherRun(
-            schedule="zb1f1b", arch=BERT_BASE, hardware=P100,
-            b_micro=b, depth=8, n_micro=8))
-    return runs
-
-
-def test_run_many_matches_sequential():
-    runs = _grid_runs()
-    seq_engine = SweepEngine()
-    refs = [seq_engine.run(r) for r in runs]
-    eng = SweepEngine()
-    got = list(eng.run_many(runs, window=4))
-    assert len(got) == len(refs)
-    for ref, g in zip(refs, got):
-        assert_reports_identical(ref, g)
-    # Counter fidelity: the streaming loop evolves the caches exactly as
-    # the sequential loop does.
-    s_ref, s_got = seq_engine.stats(), eng.stats()
-    for key in ("runs", "timing_hits", "rescales", "reexecutions",
-                "native_evals"):
-        assert s_got[key] == s_ref[key], key
-    assert s_got["batched_points"] > 0
-    assert s_got["native_evals"] > 0
-
-
-def test_run_many_streams_lazily_from_any_iterable():
-    runs = _grid_runs()
-    consumed = []
-
-    def feed():
-        for r in runs:
-            consumed.append(r)
-            yield r
-
-    gen = SweepEngine().run_many(feed(), window=4)
-    assert len(consumed) == 0  # nothing pulled until first next()
-    first = next(gen)
-    assert first is not None
-    assert len(consumed) <= 4  # one window, not the whole grid
-    rest = list(gen)
-    assert len(rest) == len(runs) - 1
-    assert len(consumed) == len(runs)
-
-
-def test_run_many_without_native_matches(monkeypatch):
-    monkeypatch.setenv(native.DISABLE_ENV, "1")
-    assert not native.available()
-    runs = _grid_runs()[:6]
-    refs = [SweepEngine().run(r) for r in runs]
-    eng = SweepEngine()
-    got = list(eng.run_many(runs, window=4))
-    for ref, g in zip(refs, got):
-        assert_reports_identical(ref, g)
-    assert eng.stats()["batched_points"] == 0
-    assert eng.stats()["native_evals"] == 0
 
 
 def test_engine_phase_counters():

@@ -127,24 +127,35 @@ def structure_key(unit) -> str:
 # -- pipefisher: one simulated PipeFisherRun point ------------------------------
 
 
-def _execute_pipefisher(params: dict, ctx: UnitContext):
+def pipefisher_run(p: dict):
+    """The :class:`~repro.pipefisher.runner.PipeFisherRun` ``p`` names.
+
+    ``p`` holds the ``pipefisher`` point vocabulary and is consumed:
+    ``schedule``/``arch``/``hardware`` are looked up, ``n_micro_factor``
+    becomes ``n_micro``, and every other key is a run field.  Shared by
+    the ``pipefisher`` and ``stochastic`` kinds.
+    """
     from repro.perfmodel.arch import ARCHITECTURES
     from repro.perfmodel.hardware import HARDWARE
     from repro.pipefisher.runner import PipeFisherRun
 
-    p = dict(params)
-    via_engine = p.pop("via_engine", True)
-    p.pop("record_bubble", None)  # serializer-only knob
     if "n_micro_factor" in p:
         if "n_micro" in p:
             raise ValueError("give n_micro or n_micro_factor, not both")
         p["n_micro"] = p.pop("n_micro_factor") * p["depth"]
-    run = PipeFisherRun(
+    return PipeFisherRun(
         schedule=p.pop("schedule"),
         arch=ARCHITECTURES[p.pop("arch")],
         hardware=HARDWARE[p.pop("hardware")],
         **p,
     )
+
+
+def _execute_pipefisher(params: dict, ctx: UnitContext):
+    p = dict(params)
+    via_engine = p.pop("via_engine", True)
+    p.pop("record_bubble", None)  # serializer-only knob
+    run = pipefisher_run(p)
     return ctx.engine.run(run) if via_engine else run.execute()
 
 

@@ -231,6 +231,11 @@ class PlanningService:
         self.store = ResultStore(
             self.state_dir / "results" if self.state_dir else None)
         self.metrics = Metrics(budget_units)
+        #: Units charged per job id this process and not yet settled by
+        #: :meth:`_run_job` (recovered jobs were charged by a previous
+        #: process and refund nothing here).
+        self._job_charges: dict[str, int] = {}
+        self._job_charges_lock = threading.Lock()
         # Last: the queue may immediately recover + run unfinished jobs,
         # and the executor reads every attribute above.
         self.jobs = JobQueue(
@@ -308,11 +313,16 @@ class PlanningService:
                 "cached": len(units) - executed,
                 "cost_units": cost,
             }
-        existing = self.jobs.get(job_id_for(request))
+        job_id = job_id_for(request)
+        existing = self.jobs.get(job_id)
         if existing is None or existing.get("status") == FAILED:
-            # Charge up front: the budget gates work *before* it starts.
-            self._charge(sum(1 for u in units
-                             if not self.store.contains(u.key)))
+            # Charge up front: the budget gates work *before* it starts;
+            # _run_job refunds what the job leaves undone.
+            cost = sum(1 for u in units if not self.store.contains(u.key))
+            self._charge(cost)
+            with self._job_charges_lock:
+                self._job_charges[job_id] = (
+                    self._job_charges.get(job_id, 0) + cost)
         job = self.jobs.submit(request)
         return {
             "mode": "job",
@@ -436,18 +446,30 @@ class PlanningService:
         :class:`CampaignRunner` over ``<state>/jobs/<id>``, with
         ``worker_jobs`` process shards when configured — pre-seeded from
         the result store so repeat units cost nothing.  In-memory
-        services reuse the inline execution path.
+        services reuse the inline execution path.  Either way every unit
+        done reaches the store, a failing job included, and when the job
+        ends the units its charge covered that are still missing from
+        the store are refunded.
         """
         spec = spec_from_request(job["request"])
-        if self.state_dir is None:
-            self._execute_units(spec.units(), charge=False)
-            return
+        units = spec.units()
+        try:
+            if self.state_dir is None:
+                self._execute_units(units, charge=False)
+            else:
+                self._run_campaign_job(job["key"], spec, units)
+        finally:
+            with self._job_charges_lock:
+                charged = self._job_charges.pop(job["key"], 0)
+            missing = sum(1 for u in units if not self.store.contains(u.key))
+            self.metrics.refund(min(charged, missing))
+
+    def _run_campaign_job(self, job_id: str, spec, units) -> None:
         from repro.campaign.rundb import DONE as REC_DONE
         from repro.campaign.rundb import RunDB
         from repro.campaign.runner import CampaignRunner
 
-        run_dir = self.state_dir / "jobs" / job["key"]
-        units = spec.units()
+        run_dir = self.state_dir / "jobs" / job_id
         with self.pool.route(self._units_key(units)) as slot:
             db = RunDB.open(run_dir)
             for u in units:
@@ -455,12 +477,15 @@ class PlanningService:
                 if rec is not None and db.done(u.key) is None:
                     db.append(rec)
             runner = CampaignRunner(engine=slot.engine, run_dir=run_dir)
-            result = runner.run(
-                spec,
-                jobs=self.worker_jobs if self.worker_jobs > 1 else None)
-            for rec in result.records.values():
-                if rec.get("status") == REC_DONE:
-                    self.store.put(rec)
+            try:
+                runner.run(
+                    spec,
+                    jobs=self.worker_jobs if self.worker_jobs > 1 else None)
+            finally:
+                db.reload()  # the runner's records, a failed run's too
+                for rec in db.records.values():
+                    if rec.get("status") == REC_DONE:
+                        self.store.put(rec)
 
 
 # -- the HTTP layer ---------------------------------------------------------------

@@ -2,12 +2,19 @@
 
 One replicate = one seed: sample a :class:`~repro.stochastic.perturb.Perturbation`,
 apply it to the compiled point's duration arrays, and re-run both task
-graphs (baseline and PipeFisher) through
-:func:`~repro.sweep.retime.simulate_compiled` with the sampled fault
-trace.  The template is compiled once and the nominal evaluation is
-cached in the engine, so replicates cost two event-loop passes each —
+graphs (baseline and PipeFisher) with the sampled fault trace.  The
+template is compiled once and the nominal evaluation is cached in the
+engine, so replicates cost two event-loop passes each —
 ``benchmarks/test_mc_scaling.py`` pins the resulting replicates/sec
 advantage over per-seed graph rebuilds in ``BENCH_mc.json``.
+
+Every replicate path goes through :func:`replicate_batch`: a campaign
+``stochastic`` unit (:func:`run_replicate`) is a one-seed block, and
+:func:`monte_carlo` passes its whole seed block.  The batch re-times
+through the native core and falls back per row to
+:func:`replicate_from_point`, the python reference (which
+``monte_carlo(batch=False)`` also runs directly); either way a
+(run, model, seed) triple gives the bit-identical record.
 
 The bubble filler is deliberately *not* re-run per replicate: K-FAC
 bubble placement models the steady state the operator tunes for, while a
@@ -222,8 +229,10 @@ def run_replicate(run, model: StochasticModel, seed: int,
     """One Monte Carlo replicate of ``run`` (a ``PipeFisherRun``).
 
     The single-unit entry point the campaign ``stochastic`` unit kind
-    executes — replicates sharing an engine share the compiled template
-    and the cached nominal evaluation.
+    executes: a one-seed :func:`replicate_batch`, so the record is the
+    one ``monte_carlo`` gives for the same seed.  Replicates sharing an
+    engine share the compiled template and the cached nominal
+    evaluation.
     """
     if engine is None:
         from repro.sweep.engine import default_engine
@@ -231,7 +240,7 @@ def run_replicate(run, model: StochasticModel, seed: int,
         engine = default_engine()
     point = engine.compiled_point(run)
     nominal = engine.nominal_evaluation(point)
-    return replicate_from_point(point, nominal, model, seed)
+    return replicate_batch(point, nominal, model, (seed,), engine=engine)[0]
 
 
 @dataclass
@@ -261,9 +270,10 @@ def monte_carlo(run, model: StochasticModel, seeds, engine=None,
     one nominal evaluation, then one re-timing pass per seed.  The same
     (run, model, seed) triple always produces the bit-identical replicate
     dict — ``CampaignSpec.seeds`` shards and resumes over exactly these —
-    regardless of execution mode: ``batch=True`` (default) vectorizes
-    every replicate — fault-carrying seeds included — through the native
-    core, and ``batch=False`` is the scalar reference loop.
+    regardless of execution mode: ``batch=True`` (default) re-times the
+    block through :func:`replicate_batch`, the path campaign units take
+    one seed at a time, and ``batch=False`` is the scalar reference
+    loop.
     """
     if engine is None:
         from repro.sweep.engine import default_engine

@@ -5,7 +5,11 @@ Unit params are the flat union of two vocabularies: the pipeline point
 vocabulary) and the :class:`~repro.stochastic.model.StochasticModel`
 fields, plus the ``seed`` the campaign layer appends when a spec
 declares ``seeds``.  :meth:`StochasticModel.from_params` pops the model
-fields back out; the remainder builds the ``PipeFisherRun``.
+fields back out; the remainder builds the ``PipeFisherRun`` through the
+``pipefisher`` kind's own parser.  The replicate runs through
+:func:`~repro.stochastic.mc.run_replicate` — a one-seed block of the
+native Monte Carlo batch, the path ``monte_carlo`` takes — so a unit
+record equals ``monte_carlo``'s record for the same seed.
 
 The replicate dict is already JSON-scalar, so serialization is the
 identity — the run DB record *is* the replicate.  Every replicate of a
@@ -20,6 +24,7 @@ from dataclasses import fields
 from repro.campaign.units import (
     UnitContext,
     get_unit_kind,
+    pipefisher_run,
     register_unit_kind,
 )
 from repro.stochastic.mc import run_replicate
@@ -27,24 +32,10 @@ from repro.stochastic.model import StochasticModel
 
 
 def _execute_stochastic(params: dict, ctx: UnitContext) -> dict:
-    from repro.perfmodel.arch import ARCHITECTURES
-    from repro.perfmodel.hardware import HARDWARE
-    from repro.pipefisher.runner import PipeFisherRun
-
     p = dict(params)
     seed = p.pop("seed", 0)
     model = StochasticModel.from_params(p)
-    if "n_micro_factor" in p:
-        if "n_micro" in p:
-            raise ValueError("give n_micro or n_micro_factor, not both")
-        p["n_micro"] = p.pop("n_micro_factor") * p["depth"]
-    run = PipeFisherRun(
-        schedule=p.pop("schedule"),
-        arch=ARCHITECTURES[p.pop("arch")],
-        hardware=HARDWARE[p.pop("hardware")],
-        **p,
-    )
-    return run_replicate(run, model, seed, engine=ctx.engine)
+    return run_replicate(pipefisher_run(p), model, seed, engine=ctx.engine)
 
 
 def _serialize_stochastic(value: dict, params: dict) -> dict:

@@ -2,7 +2,7 @@
  *
  * A line-for-line transliteration of the pure-python hot loops in
  * repro/sweep/retime.py — simulate_compiled (the event-driven executor,
- * deterministic no-fault path), fill_compiled (the K-FAC bubble
+ * with or without fault replay), fill_compiled (the K-FAC bubble
  * filler), device_bubbles, and the utilization folds — driven over a
  * whole batch of duration tables sharing one compiled template.
  *
@@ -16,8 +16,8 @@
  * heap compares (t_end, seq) — and a binary min-heap's pop sequence
  * depends only on the key multiset, not its internal layout.
  *
- * The fault path (repro_sim_fault_batch) transliterates the
- * DeviceFaults restart-replay of simulate_compiled(faults=...): idle
+ * repro_sim_batch is the one event-loop entry.  Given failure tables it
+ * replays DeviceFaults like simulate_compiled(faults=...): idle
  * failures delay starts, in-attempt failures lose the work since the
  * last global-time checkpoint (python float floordiv semantics,
  * replicated in py_floordiv), failures during restart downtime extend
@@ -675,70 +675,36 @@ static double windowed_util(const Graph *g, const double *start,
 
 /* -- exported batch entry points ------------------------------------------------ */
 
+/* The event loop over P duration rows (row stride n) in one call.
+ *
+ * NULL ft_off is the no-fault path: no failure tables, no restart rows
+ * (the restart outputs may be NULL too).  Otherwise each row has its
+ * own per-device failure-time table (global CSR: ft_off[p*D+d] ..
+ * ft_off[p*D+d+1] slice ft_times), restart delay, and checkpoint
+ * interval.  Rows with empty tables run the exact same arithmetic as
+ * the no-fault path (st = now, end = now + dur), so mixed batches need
+ * no splitting.  Restart rows stream into (rest_dev, rest_task,
+ * rest_fail, rest_resume, rest_lost) at row stride rest_cap in append
+ * order; rest_count[p] rows are valid.  Each failure time is consumed
+ * at most once per row (the cursor is monotone), so rest_cap = max
+ * per-row failure total is an exact bound; ST_REST_OVERFLOW is a
+ * defensive per-row status all the same. */
 int repro_sim_batch(const Graph *g, int32_t P, const double *td,
+                    const int64_t *ft_off, const double *ft_times,
+                    const double *delay, const double *ckpt,
+                    int32_t rest_cap,
                     double *start, double *end, double *evend,
-                    int32_t *evorder, double *mk, int32_t *status) {
+                    int32_t *evorder, double *mk,
+                    int32_t *rest_dev, int32_t *rest_task,
+                    double *rest_fail, double *rest_resume,
+                    double *rest_lost, int32_t *rest_count,
+                    int32_t *status) {
     const int n = g->n, D = g->num_devices, K = g->n_keys > 0 ? g->n_keys : 1;
+    const int faulty = ft_off != NULL;
     Sim s;
-    s.f_times = NULL;
-    s.f_cur = NULL;
-    s.missing = malloc((size_t)n * sizeof(int32_t));
-    s.device_free = malloc((size_t)D * sizeof(double));
-    s.rk = malloc((size_t)D * n * sizeof(int64_t));
-    s.rv = malloc((size_t)D * n * sizeof(int32_t));
-    s.rsz = malloc((size_t)D * sizeof(int32_t));
-    s.pk = malloc((size_t)K * n * sizeof(int64_t));
-    s.pv = malloc((size_t)K * n * sizeof(int32_t));
-    s.psz = malloc((size_t)K * sizeof(int32_t));
-    s.inflight = malloc((size_t)K * sizeof(int32_t));
-    s.et = malloc((size_t)n * sizeof(double));
-    s.es = malloc((size_t)n * sizeof(int32_t));
-    s.ei = malloc((size_t)n * sizeof(int32_t));
-    s.stack = malloc((size_t)n * sizeof(int32_t));
-    s.dirty = malloc((size_t)D);
-    if (!s.missing || !s.device_free || !s.rk || !s.rv || !s.rsz || !s.pk
-        || !s.pv || !s.psz || !s.inflight || !s.et || !s.es || !s.ei
-        || !s.stack || !s.dirty) {
-        status[0] = -1;
-        goto done;
-    }
-    for (int p = 0; p < P; p++) {
-        status[p] = sim_one(g, td + (size_t)p * n,
-                            start + (size_t)p * n, end + (size_t)p * n,
-                            evend + (size_t)p * n,
-                            evorder + (size_t)p * g->n_disp, mk + p, &s);
-    }
-done:
-    free(s.missing); free(s.device_free); free(s.rk); free(s.rv);
-    free(s.rsz); free(s.pk); free(s.pv); free(s.psz); free(s.inflight);
-    free(s.et); free(s.es); free(s.ei); free(s.stack); free(s.dirty);
-    return 0;
-}
-
-/* Fault-aware batch: one row per point, each with its own per-device
- * failure-time table (global CSR: ft_off[p*D+d] .. ft_off[p*D+d+1] slice
- * ft_times), restart delay, and checkpoint interval.  Rows with empty
- * tables run the exact same arithmetic as the no-fault path (st = now,
- * end = now + dur), so mixed batches need no splitting.  Restart rows
- * stream into (rest_dev, rest_task, rest_fail, rest_resume, rest_lost)
- * at row stride rest_cap in append order; rest_count[p] rows are valid.
- * Each failure time is consumed at most once per row (the cursor is
- * monotone), so rest_cap = max per-row failure total is an exact bound;
- * ST_REST_OVERFLOW is a defensive per-row status all the same. */
-int repro_sim_fault_batch(const Graph *g, int32_t P, const double *td,
-                          const int64_t *ft_off, const double *ft_times,
-                          const double *delay, const double *ckpt,
-                          int32_t rest_cap,
-                          double *start, double *end, double *evend,
-                          int32_t *evorder, double *mk,
-                          int32_t *rest_dev, int32_t *rest_task,
-                          double *rest_fail, double *rest_resume,
-                          double *rest_lost, int32_t *rest_count,
-                          int32_t *status) {
-    const int n = g->n, D = g->num_devices, K = g->n_keys > 0 ? g->n_keys : 1;
-    Sim s;
-    s.f_times = ft_times;
+    s.f_times = faulty ? ft_times : NULL;
     s.r_cap = rest_cap;
+    s.r_cnt = 0;
     s.missing = malloc((size_t)n * sizeof(int32_t));
     s.device_free = malloc((size_t)D * sizeof(double));
     s.rk = malloc((size_t)D * n * sizeof(int64_t));
@@ -753,27 +719,29 @@ int repro_sim_fault_batch(const Graph *g, int32_t P, const double *td,
     s.ei = malloc((size_t)n * sizeof(int32_t));
     s.stack = malloc((size_t)n * sizeof(int32_t));
     s.dirty = malloc((size_t)D);
-    s.f_cur = malloc((size_t)D * sizeof(int32_t));
+    s.f_cur = faulty ? malloc((size_t)D * sizeof(int32_t)) : NULL;
     if (!s.missing || !s.device_free || !s.rk || !s.rv || !s.rsz || !s.pk
         || !s.pv || !s.psz || !s.inflight || !s.et || !s.es || !s.ei
-        || !s.stack || !s.dirty || !s.f_cur) {
+        || !s.stack || !s.dirty || (faulty && !s.f_cur)) {
         status[0] = -1;
         goto done;
     }
     for (int p = 0; p < P; p++) {
-        s.f_off = ft_off + (size_t)p * D;
-        s.f_delay = delay[p];
-        s.f_ckpt = ckpt[p];
-        s.r_dev = rest_dev + (size_t)p * rest_cap;
-        s.r_task = rest_task + (size_t)p * rest_cap;
-        s.r_fail = rest_fail + (size_t)p * rest_cap;
-        s.r_resume = rest_resume + (size_t)p * rest_cap;
-        s.r_lost = rest_lost + (size_t)p * rest_cap;
+        if (faulty) {
+            s.f_off = ft_off + (size_t)p * D;
+            s.f_delay = delay[p];
+            s.f_ckpt = ckpt[p];
+            s.r_dev = rest_dev + (size_t)p * rest_cap;
+            s.r_task = rest_task + (size_t)p * rest_cap;
+            s.r_fail = rest_fail + (size_t)p * rest_cap;
+            s.r_resume = rest_resume + (size_t)p * rest_cap;
+            s.r_lost = rest_lost + (size_t)p * rest_cap;
+        }
         status[p] = sim_one(g, td + (size_t)p * n,
                             start + (size_t)p * n, end + (size_t)p * n,
                             evend + (size_t)p * n,
                             evorder + (size_t)p * g->n_disp, mk + p, &s);
-        rest_count[p] = s.r_cnt;
+        if (faulty) rest_count[p] = s.r_cnt;
     }
 done:
     free(s.missing); free(s.device_free); free(s.rk); free(s.rv);

@@ -10,8 +10,9 @@ doesn't model) reports a non-OK status (``ok(i)`` is False), and the
 caller re-runs that point through the pure-python reference path, which
 also raises the reference's exact errors.  The two callers are
 :func:`repro.sweep.engine.native_evaluation` (one sweep point per call)
-and :func:`repro.stochastic.mc.replicate_batch` (Monte Carlo seed
-blocks, the one multi-row caller).
+and :func:`repro.stochastic.mc.replicate_batch` (one seed block per
+call: a single seed for a campaign ``stochastic`` unit, the whole block
+for ``monte_carlo``).
 
 Everything returned is reference-typed, with the per-task and per-item
 lists materialized lazily: :class:`NativeSim` quacks like
@@ -89,28 +90,6 @@ class NativeSim:
                    ("_start", "_end", "_ev_end", "_ev_order"))
 
 
-@dataclass
-class GraphBatch:
-    """Native sim output for one graph over a point batch."""
-
-    ga: object                 #: the graph's GraphArrays
-    start: object              #: (P, n) float64
-    end: object
-    ev_end: object
-    ev_order: object           #: (P, n_disp) int32
-    makespan: object           #: (P,) float64
-    status: object             #: (P,) int32; 0 == valid row
-
-    def ok(self, i: int) -> bool:
-        return self.status[i] == 0
-
-    def sim(self, i: int) -> NativeSim:
-        return NativeSim(self.start[i].copy(), self.end[i].copy(),
-                         self.ev_end[i].copy(),
-                         self.ev_order[i, :self.ga.n_disp].copy(),
-                         float(self.makespan[i]))
-
-
 class NativeRestarts:
     """The restart rows of one fault batch row, materialized lazily.
 
@@ -163,26 +142,37 @@ class NativeRestarts:
 
 
 @dataclass
-class FaultBatch(GraphBatch):
-    """Native fault-replay output: a GraphBatch plus restart rows."""
+class GraphBatch:
+    """Native sim output for one graph over a point batch."""
 
-    rest_dev: object = None    #: (P, cap) int32
-    rest_task: object = None   #: (P, cap) int32
-    rest_fail: object = None   #: (P, cap) float64
-    rest_resume: object = None
-    rest_lost: object = None
-    rest_count: object = None  #: (P,) int32 valid rows per point
+    ga: object                 #: the graph's GraphArrays
+    start: object              #: (P, n) float64
+    end: object
+    ev_end: object
+    ev_order: object           #: (P, n_disp) int32
+    makespan: object           #: (P,) float64
+    status: object             #: (P,) int32; 0 == valid row
+    #: Restart arrays ``(dev, task, fail, resume, lost, count)`` of a
+    #: fault-replay pass — ``(P, cap)`` rows plus the ``(P,)`` valid-row
+    #: counts — or None on a fault-free pass.
+    rest: object = None
 
-    def restarts(self, i: int) -> NativeRestarts:
-        m = int(self.rest_count[i])
-        return NativeRestarts(*(a[i, :m].copy() for a in (
-            self.rest_dev, self.rest_task, self.rest_fail,
-            self.rest_resume, self.rest_lost)))
+    def ok(self, i: int) -> bool:
+        return self.status[i] == 0
 
     def sim(self, i: int) -> NativeSim:
-        s = super().sim(i)
-        s.restarts = self.restarts(i)
+        s = NativeSim(self.start[i].copy(), self.end[i].copy(),
+                      self.ev_end[i].copy(),
+                      self.ev_order[i, :self.ga.n_disp].copy(),
+                      float(self.makespan[i]))
+        if self.rest is not None:
+            s.restarts = self.restarts(i)
         return s
+
+    def restarts(self, i: int) -> NativeRestarts:
+        """Row ``i``'s restart rows (fault-replay passes only)."""
+        m = int(self.rest[5][i])
+        return NativeRestarts(*(a[i, :m].copy() for a in self.rest[:5]))
 
     def restart_stats(self, i: int):
         """``(n_restarts, downtime, lost_work)`` for row ``i``.
@@ -191,13 +181,13 @@ class FaultBatch(GraphBatch):
         exactly the reference's ``_downtime``/``_lost_work`` sums — so
         they are bit-identical to folding the scalar path's tuples.
         """
-        m = int(self.rest_count[i])
+        _, _, fail, resume, lost_rows, count = self.rest
+        m = int(count[i])
         down = 0.0
-        for fail, resume in zip(self.rest_fail[i, :m].tolist(),
-                                self.rest_resume[i, :m].tolist()):
-            down += resume - fail
+        for f, r in zip(fail[i, :m].tolist(), resume[i, :m].tolist()):
+            down += r - f
         lost = 0.0
-        for v in self.rest_lost[i, :m].tolist():
+        for v in lost_rows[i, :m].tolist():
             lost += v
         return m, down, lost
 
@@ -245,11 +235,10 @@ def simulate_graph_batch(graph, durs_list=None, task_durs=None, faults=None
     ``[durs[c] for c in dur_code]``); ``task_durs`` is an explicit
     ``(P, n)`` per-task duration matrix (the Monte Carlo perturbation
     path).  ``faults``, when given, is one
-    :class:`~repro.sweep.retime.DeviceFaults` or ``None`` per row and
-    routes the batch through the fault-replay core — the result is then
-    a :class:`FaultBatch` carrying restart rows.  Returns None when the
-    native core cannot run this graph — callers loop
-    :func:`~repro.sweep.retime.simulate_compiled` instead.
+    :class:`~repro.sweep.retime.DeviceFaults` or ``None`` per row; the
+    pass then replays them and the result carries restart rows.
+    Returns None when the native core cannot run this graph — callers
+    loop :func:`~repro.sweep.retime.simulate_compiled` instead.
     """
     if np is None or not native.available():
         return None
@@ -260,17 +249,11 @@ def simulate_graph_batch(graph, durs_list=None, task_durs=None, faults=None
         table = np.asarray(durs_list, np.float64)
         task_durs = np.ascontiguousarray(table[:, ga.dur_code])
     if faults is not None:
-        packed = pack_faults(faults, ga.num_devices)
-        if packed is None:
+        faults = pack_faults(faults, ga.num_devices)
+        if faults is None:
             return None
-        ft_off, ft_times, delay, ckpt = packed
-        start, end, ev_end, ev_order, mk, rest, status = \
-            native.sim_fault_batch(ga, task_durs, ft_off, ft_times,
-                                   delay, ckpt)
-    else:
-        start, end, ev_end, ev_order, mk, status = native.sim_batch(
-            ga, task_durs)
-        rest = None
+    start, end, ev_end, ev_order, mk, rest, status = native.sim_batch(
+        ga, task_durs, faults)
     bad = status != 0
     if bad.any():
         # Failed rows carry partial data; neutralize them so whole-batch
@@ -282,14 +265,9 @@ def simulate_graph_batch(graph, durs_list=None, task_durs=None, faults=None
         mk[bad] = 1.0
         if rest is not None:
             rest[5][bad] = 0
-    if rest is None:
-        return GraphBatch(ga=ga, start=start, end=end, ev_end=ev_end,
-                          ev_order=ev_order, makespan=mk, status=status)
-    return FaultBatch(ga=ga, start=start, end=end, ev_end=ev_end,
+    return GraphBatch(ga=ga, start=start, end=end, ev_end=ev_end,
                       ev_order=ev_order, makespan=mk, status=status,
-                      rest_dev=rest[0], rest_task=rest[1],
-                      rest_fail=rest[2], rest_resume=rest[3],
-                      rest_lost=rest[4], rest_count=rest[5])
+                      rest=rest)
 
 
 class NativeFill:

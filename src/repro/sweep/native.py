@@ -143,17 +143,12 @@ def _load():
             lib = ctypes.CDLL(_build_lib())
             lib.repro_sim_batch.argtypes = [
                 ctypes.POINTER(_CGraph), _i32, _P_f64,
-                _P_f64, _P_f64, _P_f64, _P_i32, _P_f64, _P_i32,
-            ]
-            lib.repro_sim_batch.restype = ctypes.c_int
-            lib.repro_sim_fault_batch.argtypes = [
-                ctypes.POINTER(_CGraph), _i32, _P_f64,
                 _P_i64, _P_f64, _P_f64, _P_f64, _i32,
                 _P_f64, _P_f64, _P_f64, _P_i32, _P_f64,
                 _P_i32, _P_i32, _P_f64, _P_f64, _P_f64, _P_i32,
                 _P_i32,
             ]
-            lib.repro_sim_fault_batch.restype = ctypes.c_int
+            lib.repro_sim_batch.restype = ctypes.c_int
             lib.repro_fill_batch.argtypes = [
                 ctypes.POINTER(_CGraph), ctypes.POINTER(_CQDesc), _i32,
                 _P_f64, _P_f64, _P_f64, _P_f64, _P_i32,
@@ -340,11 +335,25 @@ def queue_arrays(template) -> QueueArrays | None:
     return qa
 
 
-def sim_batch(ga: GraphArrays, tdur):
+#: The fault arguments of a fault-free ``repro_sim_batch`` call: NULL
+#: tables and a zero restart capacity, then NULL restart outputs.
+_NO_FAULTS = (None, None, None, None, 0)
+_NO_RESTARTS = (None,) * 6
+
+
+def sim_batch(ga: GraphArrays, tdur, faults=None):
     """Run the event loop for a ``(P, n)`` duration batch in one call.
 
-    Returns ``(start, end, ev_end, ev_order, makespan, status)`` arrays;
-    rows with nonzero status carry no valid data and must fall back.
+    ``faults`` is None (the no-fault path: NULL tables, nothing else
+    allocated) or the packed ``(ft_off, ft_times, delay, ckpt)`` from
+    :func:`repro.sweep.batch.pack_faults` — a per-row per-device
+    failure-time CSR plus per-row restart delay and checkpoint interval.
+    Rows with empty failure tables are bit-identical to the no-fault
+    path.  Returns ``(start, end, ev_end, ev_order, makespan, restarts,
+    status)``; ``restarts`` is None on a fault-free call, else the tuple
+    ``(dev, task, fail, resume, lost, count)`` of per-row restart arrays
+    at a shared row stride.  Rows with nonzero status carry no valid
+    data and must fall back.
     """
     lib = _load()
     P = tdur.shape[0]
@@ -356,60 +365,29 @@ def sim_batch(ga: GraphArrays, tdur):
     ev_order = np.empty((P, max(n_disp, 1)), np.int32)
     mk = np.empty(P, np.float64)
     status = np.empty(P, np.int32)
+    restarts = None
+    fault_args, rest_args = _NO_FAULTS, _NO_RESTARTS
+    if faults is not None:
+        ft_off, ft_times, delay, ckpt = faults
+        D = ga.num_devices
+        # Each failure time is consumed at most once per row, so the max
+        # per-row failure total is an exact restart-row bound.
+        row_tot = ft_off[D::D] - ft_off[:-1:D]
+        cap = max(int(row_tot.max()) if P else 0, 1)
+        restarts = (np.empty((P, cap), np.int32),
+                    np.empty((P, cap), np.int32),
+                    np.empty((P, cap), np.float64),
+                    np.empty((P, cap), np.float64),
+                    np.empty((P, cap), np.float64),
+                    np.zeros(P, np.int32))
+        fault_args = (_ptr_i64(ft_off), _ptr_f64(ft_times), _ptr_f64(delay),
+                      _ptr_f64(ckpt), cap)
+        rest_args = tuple(_ptr_i32(a) if a.dtype == np.int32 else _ptr_f64(a)
+                          for a in restarts)
     lib.repro_sim_batch(
-        ctypes.byref(ga.struct), P, _ptr_f64(tdur), _ptr_f64(start),
-        _ptr_f64(end), _ptr_f64(ev_end), _ptr_i32(ev_order), _ptr_f64(mk),
-        _ptr_i32(status))
-    return start, end, ev_end, ev_order, mk, status
-
-
-def sim_fault_batch(ga: GraphArrays, tdur, ft_off, ft_times, delay, ckpt):
-    """Run the fault-replay event loop for a ``(P, n)`` duration batch.
-
-    ``ft_off``/``ft_times`` is the packed per-row per-device failure-time
-    CSR from :func:`repro.sweep.batch.pack_faults`; ``delay``/``ckpt``
-    are per-row restart delay and checkpoint interval.  Rows with empty
-    failure tables are bit-identical to :func:`sim_batch`.  Returns
-    ``(start, end, ev_end, ev_order, makespan, restarts, status)`` where
-    ``restarts`` is the tuple ``(dev, task, fail, resume, lost, count)``
-    of per-row restart arrays at a shared row stride; rows with nonzero
-    status carry no valid data and must fall back.
-    """
-    lib = _load()
-    P = tdur.shape[0]
-    n, n_disp, D = ga.n, ga.n_disp, ga.num_devices
-    tdur = np.ascontiguousarray(tdur, np.float64)
-    ft_off = np.ascontiguousarray(ft_off, np.int64)
-    ft_times = np.ascontiguousarray(ft_times, np.float64)
-    delay = np.ascontiguousarray(delay, np.float64)
-    ckpt = np.ascontiguousarray(ckpt, np.float64)
-    # Each failure time is consumed at most once per row, so the max
-    # per-row failure total is an exact restart-row bound.
-    row_tot = ft_off[D::D] - ft_off[:-1:D]
-    cap = max(int(row_tot.max()) if P else 0, 1)
-    start = np.empty((P, n), np.float64)
-    end = np.empty((P, n), np.float64)
-    ev_end = np.empty((P, n), np.float64)
-    ev_order = np.empty((P, max(n_disp, 1)), np.int32)
-    mk = np.empty(P, np.float64)
-    rest_dev = np.empty((P, cap), np.int32)
-    rest_task = np.empty((P, cap), np.int32)
-    rest_fail = np.empty((P, cap), np.float64)
-    rest_resume = np.empty((P, cap), np.float64)
-    rest_lost = np.empty((P, cap), np.float64)
-    rest_count = np.zeros(P, np.int32)
-    status = np.empty(P, np.int32)
-    lib.repro_sim_fault_batch(
-        ctypes.byref(ga.struct), P, _ptr_f64(tdur),
-        _ptr_i64(ft_off), _ptr_f64(ft_times), _ptr_f64(delay),
-        _ptr_f64(ckpt), cap,
+        ctypes.byref(ga.struct), P, _ptr_f64(tdur), *fault_args,
         _ptr_f64(start), _ptr_f64(end), _ptr_f64(ev_end),
-        _ptr_i32(ev_order), _ptr_f64(mk),
-        _ptr_i32(rest_dev), _ptr_i32(rest_task), _ptr_f64(rest_fail),
-        _ptr_f64(rest_resume), _ptr_f64(rest_lost), _ptr_i32(rest_count),
-        _ptr_i32(status))
-    restarts = (rest_dev, rest_task, rest_fail, rest_resume, rest_lost,
-                rest_count)
+        _ptr_i32(ev_order), _ptr_f64(mk), *rest_args, _ptr_i32(status))
     return start, end, ev_end, ev_order, mk, restarts, status
 
 

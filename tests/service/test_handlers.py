@@ -202,6 +202,34 @@ class TestBudget:
         out = svc.sweep(_pf_body())
         assert out["executed"] == 2 and out["cost_units"] == 2
 
+    @pytest.mark.parametrize("persistent", [False, True],
+                             ids=["in-memory", "state-dir"])
+    def test_failed_job_refunds_its_budget(self, persistent, tmp_path):
+        svc = PlanningService(budget_units=4,
+                              state_dir=tmp_path if persistent else None)
+        job = svc.sweep({**_pf_body(bogus=1), "inline": False})
+        assert svc.metrics_snapshot()["budget"]["charged_units"] == 2
+        assert svc.jobs.wait(job["job"])["status"] == "failed"
+        assert svc.metrics_snapshot()["budget"]["charged_units"] == 0
+        out = svc.sweep({"kind": "pipefisher", "fixed": PF_FIXED,
+                         "grid": {"b_micro": [8, 16], "n_micro": [8, 16]}})
+        assert out["executed"] == 4 and out["cost_units"] == 4
+
+    @pytest.mark.parametrize("persistent", [False, True],
+                             ids=["in-memory", "state-dir"])
+    def test_failed_job_keeps_the_charge_of_done_units(self, persistent,
+                                                       tmp_path):
+        svc = PlanningService(budget_units=4,
+                              state_dir=tmp_path if persistent else None)
+        body = {"kind": "pipefisher", "fixed": PF_FIXED, "inline": False,
+                "grid": {"b_micro": [8], "n_micro_factor": [2, 1.5]}}
+        job = svc.sweep(body)
+        assert svc.jobs.wait(job["job"])["status"] == "failed"
+        assert svc.metrics_snapshot()["budget"]["charged_units"] == 1
+        done, failed = job["unit_keys"]
+        assert svc.result(done)["key"] == done
+        assert not svc.store.contains(failed)
+
     def test_budget_appears_in_metrics(self):
         svc = PlanningService(engine=SweepEngine(), budget_units=10)
         svc.sweep(_sweep_body({"depth": [4], "b_micro": [8]}))

@@ -1,13 +1,13 @@
 """The native fault-replay core must be bit-identical to the reference.
 
-``repro_sim_fault_batch`` transliterates the DeviceFaults restart-replay
-of :func:`~repro.sweep.retime.simulate_compiled`; these tests fuzz the
-whole surface — every registered schedule, mixed jitter/straggler/
-preemption perturbations, hand-built edge cases including the
-negative-lost-work regression PR 7 fixed — comparing with ``==`` on
-floats (no tolerances) including the restart rows, plus the laziness of
-restart materialization and the engine counters the batched MC path
-feeds.
+``repro_sim_batch`` given failure tables transliterates the DeviceFaults
+restart-replay of :func:`~repro.sweep.retime.simulate_compiled`; these
+tests fuzz the whole surface — every registered schedule, mixed
+jitter/straggler/preemption perturbations, hand-built edge cases
+including the negative-lost-work regression PR 7 fixed — comparing with
+``==`` on floats (no tolerances) including the restart rows, plus the
+laziness of restart materialization and the engine counters the batched
+MC path feeds.
 """
 
 import pytest
@@ -109,7 +109,7 @@ def test_fault_batch_matches_reference(name):
         matrix = np.asarray([td for td, _ in rows], np.float64)
         fb = sweep_batch.simulate_graph_batch(
             graph, task_durs=matrix, faults=[f for _, f in rows])
-        assert isinstance(fb, sweep_batch.FaultBatch)
+        assert fb.rest is not None  # a fault-replay pass
         n_faulty = 0
         for i, (td, f) in enumerate(rows):
             assert fb.ok(i)
@@ -144,6 +144,27 @@ def test_mixed_none_and_fault_rows_in_one_batch():
         _assert_fault_sims_equal(ref, fb.sim(i))
         if fault_list[i] is None:
             assert fb.restart_stats(i) == (0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("name", SCHEDULE_CASES)
+def test_no_fault_call_equals_empty_fault_tables(name):
+    """One entry, two spellings of "no faults": NULL tables
+    (``faults=None``) and an empty table per row (``[None] * P``) give
+    the same rows, and both equal the python reference."""
+    point = _point(name)
+    graph, durs = point.template.pf_graph, point.pf_durs
+    rows = _perturbation_rows(point, graph, durs, range(6))
+    matrix = np.asarray([td for td, _ in rows], np.float64)
+    plain = sweep_batch.simulate_graph_batch(graph, task_durs=matrix)
+    empty = sweep_batch.simulate_graph_batch(
+        graph, task_durs=matrix, faults=[None] * len(rows))
+    assert plain.rest is None and empty.rest is not None
+    for i, (td, _) in enumerate(rows):
+        ref = simulate_compiled(graph, None, task_durs=list(td))
+        for gb in (plain, empty):
+            assert gb.ok(i)
+            _assert_fault_sims_equal(ref, gb.sim(i))
+        assert empty.restart_stats(i) == (0, 0.0, 0.0)
 
 
 class TestEdgeCases:

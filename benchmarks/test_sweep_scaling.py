@@ -15,7 +15,10 @@ loop).  Two engine measurements sit against it:
 
 Both engine measurements time a plain ``[engine.run(p) for p in
 points]`` loop, the path every sweep, campaign and service request
-takes.
+takes.  The per-point loop and both engine measurements alternate in
+``PAIRS`` rounds, and each floor gates on the median per-round ratio:
+a round sees the same host load on every side, and the median ignores
+a round that a load spike hit on one side only.
 
 Every report from both engine paths is asserted **bit-identical** to
 the frozen loop before any speedup is asserted — the engine is only
@@ -25,6 +28,7 @@ approximating.
 Emits ``BENCH_sweep.json``.
 """
 
+import statistics
 import time
 
 from benchmarks.conftest import record, write_bench
@@ -46,12 +50,11 @@ HARDWARE_NAMES = ("P100", "V100", "RTX3090")
 B_MICRO_VALUES = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 DEPTH_VALUES = (8, 16)
 N_MICRO_FACTOR = 2
-#: min-of-N timing on both sides; the engine side gets extra reps
-#: because its much shorter wall time is proportionally noisier on a
-#: shared CI runner.
-BASELINE_REPS = 2
-ENGINE_REPS = 3
-STEADY_REPS = 5
+#: Rounds of (per-point loop, cold engine, steady-state engine).
+PAIRS = 5
+#: Steady-state passes per round, min taken: one pass is ~30 ms, short
+#: enough that a single GC pause or scheduler hiccup shows.
+STEADY_REPS = 3
 MIN_COLD_SPEEDUP = 5.0
 MIN_STEADY_SPEEDUP = 50.0
 
@@ -143,47 +146,51 @@ def test_sweep_engine_vs_per_point_loop(once, benchmark):
     clear_stage_costs_memo()
     points = list(sweep_points())
 
-    seed_s = float("inf")
-    for _ in range(BASELINE_REPS):
+    seed_s = cold_s = steady_s = float("inf")
+    cold_ratios, steady_ratios = [], []
+    for pair in range(PAIRS):
         memo: dict = {}
         t0 = time.perf_counter()
         ref = [frozen_point(p, memo) for p in points]
-        seed_s = min(seed_s, time.perf_counter() - t0)
+        seed = time.perf_counter() - t0
 
-    engine = None
-    cold_s = float("inf")
-    for _ in range(ENGINE_REPS):
         engine = SweepEngine()  # cold: templates rebuilt inside the timing
         t0 = time.perf_counter()
         got = [engine.run(p) for p in points]
-        cold_s = min(cold_s, time.perf_counter() - t0)
-    assert_identical(points, ref, got)
+        cold = time.perf_counter() - t0
+        assert_identical(points, ref, got)
 
-    # Steady state: structure warm, timings cleared — each pass re-times
-    # the whole grid through the native core.
-    steady_s = float("inf")
-    for rep in range(STEADY_REPS):
-        clear_timings(engine)
-        if rep == STEADY_REPS - 1:
+        # Steady state: structure warm, timings cleared — each pass
+        # re-times the whole grid through the native core.
+        steady = float("inf")
+        for rep in range(STEADY_REPS):
+            clear_timings(engine)
             t0 = time.perf_counter()
-            got = once(lambda: [engine.run(p) for p in points])
-            steady_s = min(steady_s, time.perf_counter() - t0)
-        else:
-            t0 = time.perf_counter()
-            got = [engine.run(p) for p in points]
-            steady_s = min(steady_s, time.perf_counter() - t0)
-    assert_identical(points, ref, got)
+            if pair == PAIRS - 1 and rep == STEADY_REPS - 1:
+                got = once(lambda: [engine.run(p) for p in points])
+            else:
+                got = [engine.run(p) for p in points]
+            steady = min(steady, time.perf_counter() - t0)
+            assert_identical(points, ref, got)
+
+        cold_ratios.append(seed / cold)
+        steady_ratios.append(seed / steady)
+        seed_s = min(seed_s, seed)
+        cold_s = min(cold_s, cold)
+        steady_s = min(steady_s, steady)
 
     stats = engine.stats()
     assert stats["templates"].misses == len(DEPTH_VALUES)
 
-    cold_x = seed_s / cold_s
-    steady_x = seed_s / steady_s
+    cold_x = statistics.median(cold_ratios)
+    steady_x = statistics.median(steady_ratios)
     print(f"\nfig6-style sweep, {len(points)} points "
           f"({len(DEPTH_VALUES)} templates): per-point loop {seed_s:.3f}s; "
           f"engine cold {cold_s:.3f}s ({cold_x:.1f}x), "
-          f"steady-state {steady_s:.3f}s ({steady_x:.1f}x, "
-          f"{stats['native_evals']} native evals)")
+          f"steady-state {steady_s:.4f}s ({steady_x:.1f}x, "
+          f"{stats['native_evals']} native evals); median of {PAIRS} "
+          f"round ratios, steady "
+          f"{', '.join(f'{r:.1f}' for r in steady_ratios)}")
     assert cold_x >= MIN_COLD_SPEEDUP, (
         f"expected >= {MIN_COLD_SPEEDUP:.0f}x cold over the per-point "
         f"sweep loop, got {cold_x:.1f}x ({cold_s:.3f}s vs {seed_s:.3f}s)"
@@ -207,7 +214,9 @@ def test_sweep_engine_vs_per_point_loop(once, benchmark):
             n_micro_factor=N_MICRO_FACTOR,
             points=len(points),
             templates=len(DEPTH_VALUES),
-            reps=[BASELINE_REPS, ENGINE_REPS, STEADY_REPS],
+            pairs=PAIRS,
+            steady_reps=STEADY_REPS,
+            gate="median per-round ratio, seed/cold/steady alternating",
             identical="all reports bit-identical to the per-point loop "
                       "(also asserted per-field by tests/sweep/)",
             steady_state="structure caches warm, timing caches cleared "

@@ -16,7 +16,6 @@ as baselines.
 
 from repro.kfac.factors import (
     KroneckerFactor,
-    batched_factor_from_rows,
     compute_factor_from_rows,
     concat_row_batches,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "KroneckerFactor",
     "compute_factor_from_rows",
     "concat_row_batches",
-    "batched_factor_from_rows",
     "damped_cholesky_inverse",
     "batched_damped_cholesky_inverse",
     "pi_damping",

@@ -18,9 +18,7 @@ per-example gradient, so rows are rescaled by ``N`` before forming ``B``.
 Micro-batch accumulation is a *single* concatenated matmul: the mini-batch
 factor over ``N_micro`` micro-batches equals the factor of the row
 concatenation, so there is no per-micro-batch loop and no float64
-accumulator round trip.  :func:`batched_factor_from_rows` additionally
-forms the factors of a whole group of same-shape layers (all of BERT's
-per-block linears, stacked ``(L, N, d)``) with one stacked matmul.
+accumulator round trip.
 """
 
 from __future__ import annotations
@@ -62,34 +60,6 @@ def concat_row_batches(row_batches: list[np.ndarray]) -> np.ndarray:
     if len(row_batches) == 1:
         return np.asarray(row_batches[0])
     return np.concatenate(row_batches, axis=0)
-
-
-def batched_factor_from_rows(
-    stacked_rows: np.ndarray, include_bias: bool = False, scale: float = 1.0
-) -> np.ndarray:
-    """Form one Kronecker factor per layer from ``(L, N, d)`` stacked rows.
-
-    The stacked equivalent of :func:`compute_factor_from_rows` for a group
-    of ``L`` same-shape layers: one batched matmul produces the ``(L, d,
-    d)`` (or ``(L, d+1, d+1)`` with ``include_bias``) factor stack.
-
-    ``scale`` multiplies the result in the same elementwise pass as the
-    ``1/N`` normalization — callers that rescale rows (e.g. the B factor's
-    ``loss_scale``) fold the quadratic ``scale**2`` in here instead of
-    copying every row first.
-    """
-    x = np.asarray(stacked_rows)
-    if x.ndim != 3:
-        raise ValueError(f"expected (L, N, d) stacked rows, got shape {x.shape}")
-    if include_bias:
-        aug = np.empty(x.shape[:2] + (x.shape[2] + 1,), dtype=x.dtype)
-        aug[:, :, :-1] = x
-        aug[:, :, -1] = 1.0
-        x = aug
-    n = max(x.shape[1], 1)
-    factors = np.matmul(np.transpose(x, (0, 2, 1)), x)
-    factors *= np.float32(scale / n)
-    return factors
 
 
 @dataclass

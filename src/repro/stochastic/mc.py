@@ -129,11 +129,11 @@ def replicate_batch(point, nominal, model: StochasticModel,
     pass per graph — fault-carrying seeds included: their per-device
     failure tables pack into the fault-replay core, whose empty-table
     rows are bit-identical to the no-fault path, so mixed blocks need no
-    splitting.  Bubble fraction and utilization fold natively as well;
-    restart counts/downtime/lost-work fold in the reference's append
-    order from the native restart rows.  Any row the native core rejects
-    falls back to the scalar reference; either way every record is
-    bit-identical to the scalar path's.
+    splitting.  The base graph's pass also folds each row's bubble
+    fraction and utilization; restart counts/downtime/lost-work fold in
+    the reference's append order from the native restart rows.  Any row
+    the native core rejects falls back to the scalar reference; either
+    way every record is bit-identical to the scalar path's.
 
     ``engine``, when given, receives counter credit: ``native_evals`` /
     ``mc_batched_replicates`` per natively re-timed replicate and
@@ -163,13 +163,10 @@ def replicate_batch(point, nominal, model: StochasticModel,
         # Rows replicate ``perturbed_durations`` exactly: control tasks
         # keep the table value, device tasks multiply by the device's
         # sampled factor (one IEEE float64 product, same as python's).
-        n = graph.n
-        device = np.fromiter(
-            ((-1 if d is None else d) for d in graph.device), np.int64, n)
-        ctrl = device < 0
-        task_idx = np.maximum(device, 0)
+        ctrl = ga.device < 0
+        task_idx = np.maximum(ga.device, 0)
         table = np.asarray(durs, np.float64)[ga.dur_code]
-        rows = np.empty((len(perts), n), np.float64)
+        rows = np.empty((len(perts), graph.n), np.float64)
         for row, p in enumerate(perts):
             fac = np.asarray(p.device_factor, np.float64)[task_idx]
             rows[row] = np.where(ctrl, table, table * fac)
@@ -178,19 +175,14 @@ def replicate_batch(point, nominal, model: StochasticModel,
     row_faults = faults if any_faults else None
     gb = _batch.simulate_graph_batch(
         g_base, task_durs=perturbed_matrix(g_base, ga_b, point.base_durs),
-        faults=row_faults)
+        faults=row_faults, bubbles=True)
     gp = _batch.simulate_graph_batch(
         g_pf, task_durs=perturbed_matrix(g_pf, ga_p, point.pf_durs),
         faults=row_faults)
-    bubble = util = None
-    if gb is not None:
-        bubble, util = _native.mc_metrics_batch(
-            gb.ga, gb.start, gb.ev_end, gb.ev_order, gb.makespan)
     records: list = [None] * len(seeds)
     batched = faulty_batched = 0
     for row, seed in enumerate(seeds):
-        if (gb is None or gp is None or bubble is None
-                or not (gb.ok(row) and gp.ok(row))):
+        if gb is None or gp is None or not (gb.ok(row) and gp.ok(row)):
             records[row] = replicate_from_point(point, nominal, model, seed)
             continue
         if faults[row] is not None:
@@ -208,8 +200,8 @@ def replicate_batch(point, nominal, model: StochasticModel,
             "seed": seed,
             "span": span,
             "pf_span": float(gp.makespan[row]),
-            "bubble_fraction": float(bubble[row]),
-            "utilization": float(util[row]),
+            "bubble_fraction": float(gb.bubble[row]),
+            "utilization": float(gb.util[row]),
             "span_degradation": span / nominal.base.makespan,
             "nominal_span": nominal.base.makespan,
             "nominal_pf_span": nominal.pf.makespan,

@@ -3,8 +3,9 @@
  * A line-for-line transliteration of the pure-python hot loops in
  * repro/sweep/retime.py — simulate_compiled (the event-driven executor,
  * with or without fault replay), fill_compiled (the K-FAC bubble
- * filler), device_bubbles, and the utilization folds — driven over a
- * whole batch of duration tables sharing one compiled template.
+ * filler), device_bubbles, and the utilization and bubble-fraction
+ * folds — driven over a whole batch of duration tables sharing one
+ * compiled template.  Two entries: repro_sim_batch and repro_fill_batch.
  *
  * Bit-identity contract: every float operation (additions along
  * dependency chains, tie-epsilon comparisons, min/max clips, fold
@@ -23,6 +24,8 @@
  * replicated in py_floordiv), failures during restart downtime extend
  * the outage, and every consumed failure is recorded as a
  * (device, task, fail, resume, lost) restart row in append order.
+ * The same pass folds each row's windowed utilization and, on request,
+ * its bubble fraction, so no fold needs a second call.
  *
  * Anything this core cannot replicate exactly — tuple order keys,
  * filler errors (which carry python-built messages), or a buffer
@@ -656,8 +659,10 @@ static int fill_one(const Graph *pf, const QDesc *q,
     return ST_OK;
 }
 
-/* -- utilization folds --------------------------------------------------------- */
+/* -- per-row folds ------------------------------------------------------------- */
 
+/* _windowed_utilization in engine.py: colored busy time of every
+ * dispatched task clipped to (0, t1), in dispatch order. */
 static double windowed_util(const Graph *g, const double *start,
                             const double *evend, const int32_t *evorder,
                             double t1) {
@@ -671,6 +676,20 @@ static double windowed_util(const Graph *g, const double *start,
         total += (ee - ss) * g->density[i];
     }
     return total / ((double)g->num_devices * (t1 - 0.0));
+}
+
+/* compiled_bubble_fraction in mc.py: every device's idle intervals over
+ * (0, span) with no minimum-bubble cutoff, over total device-time. */
+static double bubble_fraction(const Graph *g, const double *start,
+                              const double *evend, double span,
+                              Iv *work, Iv *idle) {
+    double idle_total = 0.0;
+    for (int dev = 0; dev < g->num_devices; dev++) {
+        int ni = bubbles_one(g, start, evend, dev, span, 0.0, work, idle);
+        for (int k = 0; k < ni; k++)
+            idle_total += idle[k].e - idle[k].s;
+    }
+    return idle_total / ((double)g->num_devices * span);
 }
 
 /* -- exported batch entry points ------------------------------------------------ */
@@ -688,19 +707,34 @@ static double windowed_util(const Graph *g, const double *start,
  * order; rest_count[p] rows are valid.  Each failure time is consumed
  * at most once per row (the cursor is monotone), so rest_cap = max
  * per-row failure total is an exact bound; ST_REST_OVERFLOW is a
- * defensive per-row status all the same. */
+ * defensive per-row status all the same.
+ *
+ * Every OK row also gets its windowed utilization in util[p] and, when
+ * bubble is non-NULL, its bubble fraction in bubble[p] (the bubble
+ * scan costs about as much as the simulation, so it is opt-in).
+ *
+ * Returns non-zero, writing no status, if a work buffer cannot be
+ * allocated; the caller presets status to a failure code. */
 int repro_sim_batch(const Graph *g, int32_t P, const double *td,
                     const int64_t *ft_off, const double *ft_times,
                     const double *delay, const double *ckpt,
                     int32_t rest_cap,
                     double *start, double *end, double *evend,
-                    int32_t *evorder, double *mk,
+                    int32_t *evorder, double *mk, double *util,
+                    double *bubble,
                     int32_t *rest_dev, int32_t *rest_task,
                     double *rest_fail, double *rest_resume,
                     double *rest_lost, int32_t *rest_count,
                     int32_t *status) {
     const int n = g->n, D = g->num_devices, K = g->n_keys > 0 ? g->n_keys : 1;
     const int faulty = ft_off != NULL;
+    int rc = -1;
+    int occ_max = 0;
+    if (bubble)
+        for (int d = 0; d < D; d++) {
+            int o = (int)(g->occ_off[d + 1] - g->occ_off[d]);
+            if (o > occ_max) occ_max = o;
+        }
     Sim s;
     s.f_times = faulty ? ft_times : NULL;
     s.r_cap = rest_cap;
@@ -720,12 +754,13 @@ int repro_sim_batch(const Graph *g, int32_t P, const double *td,
     s.stack = malloc((size_t)n * sizeof(int32_t));
     s.dirty = malloc((size_t)D);
     s.f_cur = faulty ? malloc((size_t)D * sizeof(int32_t)) : NULL;
+    Iv *work = bubble ? malloc((size_t)(occ_max + 2) * sizeof(Iv)) : NULL;
+    Iv *idle = bubble ? malloc((size_t)(occ_max + 2) * sizeof(Iv)) : NULL;
     if (!s.missing || !s.device_free || !s.rk || !s.rv || !s.rsz || !s.pk
         || !s.pv || !s.psz || !s.inflight || !s.et || !s.es || !s.ei
-        || !s.stack || !s.dirty || (faulty && !s.f_cur)) {
-        status[0] = -1;
+        || !s.stack || !s.dirty || (faulty && !s.f_cur)
+        || (bubble && (!work || !idle)))
         goto done;
-    }
     for (int p = 0; p < P; p++) {
         if (faulty) {
             s.f_off = ft_off + (size_t)p * D;
@@ -737,18 +772,22 @@ int repro_sim_batch(const Graph *g, int32_t P, const double *td,
             s.r_resume = rest_resume + (size_t)p * rest_cap;
             s.r_lost = rest_lost + (size_t)p * rest_cap;
         }
-        status[p] = sim_one(g, td + (size_t)p * n,
-                            start + (size_t)p * n, end + (size_t)p * n,
-                            evend + (size_t)p * n,
-                            evorder + (size_t)p * g->n_disp, mk + p, &s);
+        double *ps = start + (size_t)p * n, *pe = evend + (size_t)p * n;
+        int32_t *pev = evorder + (size_t)p * g->n_disp;
+        status[p] = sim_one(g, td + (size_t)p * n, ps, end + (size_t)p * n,
+                            pe, pev, mk + p, &s);
         if (faulty) rest_count[p] = s.r_cnt;
+        if (status[p] != ST_OK) continue;
+        util[p] = windowed_util(g, ps, pe, pev, mk[p]);
+        if (bubble) bubble[p] = bubble_fraction(g, ps, pe, mk[p], work, idle);
     }
+    rc = 0;
 done:
     free(s.missing); free(s.device_free); free(s.rk); free(s.rv);
     free(s.rsz); free(s.pk); free(s.pv); free(s.psz); free(s.inflight);
     free(s.et); free(s.es); free(s.ei); free(s.stack); free(s.dirty);
-    free(s.f_cur);
-    return 0;
+    free(s.f_cur); free(work); free(idle);
+    return rc;
 }
 
 int repro_fill_batch(const Graph *pf, const QDesc *q, int32_t P,
@@ -768,6 +807,7 @@ int repro_fill_batch(const Graph *pf, const QDesc *q, int32_t P,
         if (o > occ_max) occ_max = o;
     }
     if (n_items_max < 1) n_items_max = 1;
+    int rc = -1;
     FillWs w;
     w.dur = malloc((size_t)n_items_max * sizeof(double));
     w.placed = malloc((size_t)n_items_max * sizeof(double));
@@ -785,10 +825,8 @@ int repro_fill_batch(const Graph *pf, const QDesc *q, int32_t P,
                         * sizeof(int32_t));
     if (!w.dur || !w.placed || !w.dep_max_end || !w.dep_count || !w.future
         || !w.now || !w.work || !w.idle || !w.seg_head || !w.seg_tail
-        || !w.seg_next) {
-        status[0] = -1;
+        || !w.seg_next)
         goto done;
-    }
     for (int p = 0; p < P; p++) {
         double c_kfac = 0.0;
         int st = fill_one(pf, q, start + (size_t)p * n,
@@ -817,54 +855,10 @@ int repro_fill_batch(const Graph *pf, const QDesc *q, int32_t P,
         double pf_colored = (double)r * c_template + c_kfac;
         pf_util[p] = pf_colored / ((double)(pf->num_devices * r) * mk[p]);
     }
+    rc = 0;
 done:
     free(w.dur); free(w.placed); free(w.dep_max_end); free(w.dep_count);
     free(w.future); free(w.now); free(w.work); free(w.idle);
     free(w.seg_head); free(w.seg_tail); free(w.seg_next);
-    return 0;
-}
-
-int repro_windowed_util_batch(const Graph *g, int32_t P, const double *start,
-                              const double *evend, const int32_t *evorder,
-                              const double *mk, double *util) {
-    const int n = g->n;
-    for (int p = 0; p < P; p++)
-        util[p] = windowed_util(g, start + (size_t)p * n,
-                                evend + (size_t)p * n,
-                                evorder + (size_t)p * g->n_disp, mk[p]);
-    return 0;
-}
-
-int repro_mc_metrics_batch(const Graph *g, int32_t P, const double *start,
-                           const double *evend, const int32_t *evorder,
-                           const double *mk, double *bubble_frac,
-                           double *util) {
-    const int n = g->n, D = g->num_devices;
-    int occ_max = 0;
-    for (int d = 0; d < D; d++) {
-        int o = (int)(g->occ_off[d + 1] - g->occ_off[d]);
-        if (o > occ_max) occ_max = o;
-    }
-    Iv *work = malloc((size_t)(occ_max + 2) * sizeof(Iv));
-    Iv *idle = malloc((size_t)(occ_max + 2) * sizeof(Iv));
-    if (!work || !idle) {
-        free(work); free(idle);
-        return -1;
-    }
-    for (int p = 0; p < P; p++) {
-        const double *ps = start + (size_t)p * n;
-        const double *pe = evend + (size_t)p * n;
-        double span = mk[p];
-        double idle_total = 0.0;
-        for (int dev = 0; dev < D; dev++) {
-            int ni = bubbles_one(g, ps, pe, dev, span, 0.0, work, idle);
-            for (int k = 0; k < ni; k++)
-                idle_total += idle[k].e - idle[k].s;
-        }
-        bubble_frac[p] = idle_total / ((double)D * span);
-        util[p] = windowed_util(g, ps, pe,
-                                evorder + (size_t)p * g->n_disp, span);
-    }
-    free(work); free(idle);
-    return 0;
+    return rc;
 }

@@ -3,8 +3,9 @@
 A compiled template is already integer arrays, so a batch of points
 sharing it can be advanced as one ``(n_points, n_tasks)`` pass through
 the native core (:mod:`repro.sweep.native`): one C call runs the
-event-driven executor for every point, one fills every point's bubbles,
-one folds every utilization.  Each function degrades per point — a row
+event-driven executor for every point and folds each row's utilization
+(and, on request, its bubble fraction) in the same pass, and one fills
+every point's bubbles.  Each function degrades per point — a row
 the core cannot handle (deadlock, filler failure, structural feature it
 doesn't model) reports a non-OK status (``ok(i)`` is False), and the
 caller re-runs that point through the pure-python reference path, which
@@ -15,7 +16,8 @@ call: a single seed for a campaign ``stochastic`` unit, the whole block
 for ``monte_carlo``).
 
 Everything returned is reference-typed, with the per-task and per-item
-lists materialized lazily: :class:`NativeSim` quacks like
+lists materialized lazily: :class:`NativeSim` (whose ``restarts`` is a
+plain tuple of rows) quacks like
 :class:`~repro.sweep.retime.CompiledSim` and :class:`NativeFill` like
 :class:`~repro.sweep.retime.CompiledFill`.  Each keeps compact copies of
 its batch row and builds the python lists (``ndarray.tolist`` preserves
@@ -90,57 +92,6 @@ class NativeSim:
                    ("_start", "_end", "_ev_end", "_ev_order"))
 
 
-class NativeRestarts:
-    """The restart rows of one fault batch row, materialized lazily.
-
-    Quacks like the reference's ``restarts`` tuple of
-    ``(device, task, fail, resume, lost)`` rows in append order —
-    ``len()`` is free, iteration/indexing/equality build the python
-    tuples on first touch.  ``tolist`` preserves float bits and turns
-    int32 back into python ints, so rows compare ``==`` to the
-    reference's exactly.
-    """
-
-    __slots__ = ("_dev", "_task", "_fail", "_resume", "_lost", "_rows")
-
-    def __init__(self, dev, task, fail, resume, lost) -> None:
-        self._dev = dev
-        self._task = task
-        self._fail = fail
-        self._resume = resume
-        self._lost = lost
-        self._rows = None
-
-    @property
-    def materialized(self) -> bool:
-        return self._rows is not None
-
-    def _materialize(self) -> tuple:
-        if self._rows is None:
-            self._rows = tuple(zip(self._dev.tolist(), self._task.tolist(),
-                                   self._fail.tolist(),
-                                   self._resume.tolist(),
-                                   self._lost.tolist()))
-        return self._rows
-
-    def __len__(self) -> int:
-        return self._dev.shape[0]
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __getitem__(self, i):
-        return self._materialize()[i]
-
-    def __eq__(self, other):
-        if isinstance(other, NativeRestarts):
-            other = other._materialize()
-        return self._materialize() == tuple(other)
-
-    def __repr__(self) -> str:
-        return f"NativeRestarts({self._materialize()!r})"
-
-
 @dataclass
 class GraphBatch:
     """Native sim output for one graph over a point batch."""
@@ -151,7 +102,10 @@ class GraphBatch:
     ev_end: object
     ev_order: object           #: (P, n_disp) int32
     makespan: object           #: (P,) float64
+    util: object               #: (P,) float64 windowed utilization
     status: object             #: (P,) int32; 0 == valid row
+    #: (P,) float64 bubble fraction, or None unless the pass asked for it.
+    bubble: object = None
     #: Restart arrays ``(dev, task, fail, resume, lost, count)`` of a
     #: fault-replay pass — ``(P, cap)`` rows plus the ``(P,)`` valid-row
     #: counts — or None on a fault-free pass.
@@ -166,13 +120,12 @@ class GraphBatch:
                       self.ev_order[i, :self.ga.n_disp].copy(),
                       float(self.makespan[i]))
         if self.rest is not None:
-            s.restarts = self.restarts(i)
+            # ``tolist`` keeps float bits and turns int32 into python
+            # ints, so the rows equal the reference's tuples.
+            m = int(self.rest[5][i])
+            s.restarts = tuple(zip(*(a[i, :m].tolist()
+                                     for a in self.rest[:5])))
         return s
-
-    def restarts(self, i: int) -> NativeRestarts:
-        """Row ``i``'s restart rows (fault-replay passes only)."""
-        m = int(self.rest[5][i])
-        return NativeRestarts(*(a[i, :m].copy() for a in self.rest[:5]))
 
     def restart_stats(self, i: int):
         """``(n_restarts, downtime, lost_work)`` for row ``i``.
@@ -226,8 +179,8 @@ def pack_faults(faults, num_devices: int):
     return off, ft_times, delay, ckpt
 
 
-def simulate_graph_batch(graph, durs_list=None, task_durs=None, faults=None
-                         ) -> GraphBatch | None:
+def simulate_graph_batch(graph, durs_list=None, task_durs=None, faults=None,
+                         bubbles=False) -> GraphBatch | None:
     """One native pass of the executor over a batch of duration tables.
 
     ``durs_list`` is a sequence of per-code duration tuples (expanded to
@@ -236,7 +189,9 @@ def simulate_graph_batch(graph, durs_list=None, task_durs=None, faults=None
     ``(P, n)`` per-task duration matrix (the Monte Carlo perturbation
     path).  ``faults``, when given, is one
     :class:`~repro.sweep.retime.DeviceFaults` or ``None`` per row; the
-    pass then replays them and the result carries restart rows.
+    pass then replays them and the result carries restart rows.  Every
+    OK row carries its windowed utilization, and with ``bubbles`` its
+    bubble fraction too.
     Returns None when the native core cannot run this graph — callers
     loop :func:`~repro.sweep.retime.simulate_compiled` instead.
     """
@@ -252,22 +207,20 @@ def simulate_graph_batch(graph, durs_list=None, task_durs=None, faults=None
         faults = pack_faults(faults, ga.num_devices)
         if faults is None:
             return None
-    start, end, ev_end, ev_order, mk, rest, status = native.sim_batch(
-        ga, task_durs, faults)
+    start, end, ev_end, ev_order, mk, util, bubble, rest, status = \
+        native.sim_batch(ga, task_durs, faults, bubbles)
     bad = status != 0
     if bad.any():
-        # Failed rows carry partial data; neutralize them so whole-batch
-        # folds (utilization, metrics) stay in bounds.  Their values are
-        # never consumed — callers fall back per failed row.
+        # Failed rows carry partial data; neutralize them so a batched
+        # fill over this pass stays in bounds.  Their values are never
+        # consumed — callers fall back per failed row.
         ev_order[bad] = 0
         start[bad] = 0.0
         ev_end[bad] = 0.0
         mk[bad] = 1.0
-        if rest is not None:
-            rest[5][bad] = 0
     return GraphBatch(ga=ga, start=start, end=end, ev_end=ev_end,
-                      ev_order=ev_order, makespan=mk, status=status,
-                      rest=rest)
+                      ev_order=ev_order, makespan=mk, util=util,
+                      status=status, bubble=bubble, rest=rest)
 
 
 class NativeFill:
@@ -350,10 +303,3 @@ def fill_graph_batch(template, pf_batch: GraphBatch, qdurs_list
     return FillBatch(qa=qa, device_steps=dev_steps, refresh=refresh,
                      seg_item=seg_item, seg_s=seg_s, seg_e=seg_e,
                      seg_count=seg_count, pf_util=pf_util, status=status)
-
-
-def windowed_utilization_batch(graph_batch: GraphBatch):
-    """The engine's windowed-utilization fold for every valid row."""
-    return native.windowed_util_batch(
-        graph_batch.ga, graph_batch.start, graph_batch.ev_end,
-        graph_batch.ev_order, graph_batch.makespan)

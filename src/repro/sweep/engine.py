@@ -434,11 +434,9 @@ def native_evaluation(template: ScheduleTemplate, dur_key: tuple,
     t_begin = perf_counter()
     gb_b = _batch.simulate_graph_batch(template.base_graph, [base_durs])
     gb_p = _batch.simulate_graph_batch(template.pf_graph, [pf_durs])
-    if gb_b is None or gb_p is None:
-        phase_s["retime"] += perf_counter() - t_begin
-        return None
-    base_util = _batch.windowed_utilization_batch(gb_b)
     phase_s["retime"] += perf_counter() - t_begin
+    if gb_b is None or gb_p is None:
+        return None
     t_begin = perf_counter()
     evaluation = None
     fb = _batch.fill_graph_batch(template, gb_p, [qdurs])
@@ -448,7 +446,7 @@ def native_evaluation(template: ScheduleTemplate, dur_key: tuple,
             base=gb_b.sim(0),
             pf=pf,
             fill=fb.fill(0, pf.makespan),
-            base_util=float(base_util[0]),
+            base_util=float(gb_b.util[0]),
             pf_util=float(fb.pf_util[0]),
             refresh=max(int(fb.refresh[0]), 1),
         )

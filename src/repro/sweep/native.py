@@ -144,7 +144,7 @@ def _load():
             lib.repro_sim_batch.argtypes = [
                 ctypes.POINTER(_CGraph), _i32, _P_f64,
                 _P_i64, _P_f64, _P_f64, _P_f64, _i32,
-                _P_f64, _P_f64, _P_f64, _P_i32, _P_f64,
+                _P_f64, _P_f64, _P_f64, _P_i32, _P_f64, _P_f64, _P_f64,
                 _P_i32, _P_i32, _P_f64, _P_f64, _P_f64, _P_i32,
                 _P_i32,
             ]
@@ -157,16 +157,6 @@ def _load():
                 _P_f64, _P_i32,
             ]
             lib.repro_fill_batch.restype = ctypes.c_int
-            lib.repro_windowed_util_batch.argtypes = [
-                ctypes.POINTER(_CGraph), _i32, _P_f64, _P_f64, _P_i32,
-                _P_f64, _P_f64,
-            ]
-            lib.repro_windowed_util_batch.restype = ctypes.c_int
-            lib.repro_mc_metrics_batch.argtypes = [
-                ctypes.POINTER(_CGraph), _i32, _P_f64, _P_f64, _P_i32,
-                _P_f64, _P_f64, _P_f64,
-            ]
-            lib.repro_mc_metrics_batch.restype = ctypes.c_int
             _lib = lib
         except Exception as exc:  # no compiler / bad toolchain: fall back
             _lib_error = f"{type(exc).__name__}: {exc}"
@@ -208,7 +198,7 @@ class GraphArrays:
     """A :class:`CompiledGraph` lowered to the C core's array layout."""
 
     __slots__ = ("graph", "n", "num_devices", "n_disp", "dur_code",
-                 "struct", "_keep")
+                 "device", "struct", "_keep")
 
     def __init__(self, g) -> None:
         n = g.n
@@ -241,8 +231,10 @@ class GraphArrays:
         self.num_devices = D
         self.n_disp = n_disp
         self.dur_code = np.fromiter(g.dur_code, np.int64, n)
-        self._keep = (device, order_key, ndeps, dep_off, dep_lst, ikey,
-                      ilim, rkey, zero_dep, occ_off, occ_lst, density)
+        #: Per-task device, -1 for control tasks.
+        self.device = device
+        self._keep = (order_key, ndeps, dep_off, dep_lst, ikey, ilim, rkey,
+                      zero_dep, occ_off, occ_lst, density)
         self.struct = _CGraph(
             n=n, num_devices=D, n_keys=g.n_inflight_keys,
             n_zero=len(g.zero_dep), n_disp=n_disp,
@@ -341,7 +333,7 @@ _NO_FAULTS = (None, None, None, None, 0)
 _NO_RESTARTS = (None,) * 6
 
 
-def sim_batch(ga: GraphArrays, tdur, faults=None):
+def sim_batch(ga: GraphArrays, tdur, faults=None, bubbles=False):
     """Run the event loop for a ``(P, n)`` duration batch in one call.
 
     ``faults`` is None (the no-fault path: NULL tables, nothing else
@@ -349,11 +341,15 @@ def sim_batch(ga: GraphArrays, tdur, faults=None):
     :func:`repro.sweep.batch.pack_faults` — a per-row per-device
     failure-time CSR plus per-row restart delay and checkpoint interval.
     Rows with empty failure tables are bit-identical to the no-fault
-    path.  Returns ``(start, end, ev_end, ev_order, makespan, restarts,
-    status)``; ``restarts`` is None on a fault-free call, else the tuple
-    ``(dev, task, fail, resume, lost, count)`` of per-row restart arrays
-    at a shared row stride.  Rows with nonzero status carry no valid
-    data and must fall back.
+    path.  The same pass folds every row's windowed utilization and,
+    with ``bubbles``, its bubble fraction.  Returns ``(start, end,
+    ev_end, ev_order, makespan, util, bubble, restarts, status)``;
+    ``bubble`` is None unless asked for, ``restarts`` is None on a
+    fault-free call, else the tuple ``(dev, task, fail, resume, lost,
+    count)`` of per-row restart arrays at a shared row stride.  Rows
+    with nonzero status carry no valid data and must fall back; every
+    row keeps its preset failure status if the core cannot allocate its
+    work buffers.
     """
     lib = _load()
     P = tdur.shape[0]
@@ -364,7 +360,9 @@ def sim_batch(ga: GraphArrays, tdur, faults=None):
     ev_end = np.empty((P, n), np.float64)
     ev_order = np.empty((P, max(n_disp, 1)), np.int32)
     mk = np.empty(P, np.float64)
-    status = np.empty(P, np.int32)
+    util = np.empty(P, np.float64)
+    bubble = np.empty(P, np.float64) if bubbles else None
+    status = np.full(P, -1, np.int32)
     restarts = None
     fault_args, rest_args = _NO_FAULTS, _NO_RESTARTS
     if faults is not None:
@@ -387,8 +385,10 @@ def sim_batch(ga: GraphArrays, tdur, faults=None):
     lib.repro_sim_batch(
         ctypes.byref(ga.struct), P, _ptr_f64(tdur), *fault_args,
         _ptr_f64(start), _ptr_f64(end), _ptr_f64(ev_end),
-        _ptr_i32(ev_order), _ptr_f64(mk), *rest_args, _ptr_i32(status))
-    return start, end, ev_end, ev_order, mk, restarts, status
+        _ptr_i32(ev_order), _ptr_f64(mk), _ptr_f64(util),
+        None if bubble is None else _ptr_f64(bubble), *rest_args,
+        _ptr_i32(status))
+    return start, end, ev_end, ev_order, mk, util, bubble, restarts, status
 
 
 def fill_batch(ga: GraphArrays, qa: QueueArrays, start, ev_end, mk, qdurs,
@@ -397,7 +397,9 @@ def fill_batch(ga: GraphArrays, qa: QueueArrays, start, ev_end, mk, qdurs,
 
     Returns ``(device_steps, refresh, seg_item, seg_s, seg_e, seg_count,
     pf_util, status)``; rows with nonzero status must fall back (the
-    python path raises the reference's error for genuine fill failures).
+    python path raises the reference's error for genuine fill failures),
+    and every row keeps its preset failure status if the core cannot
+    allocate its work buffers.
     """
     lib = _load()
     P = start.shape[0]
@@ -415,7 +417,7 @@ def fill_batch(ga: GraphArrays, qa: QueueArrays, start, ev_end, mk, qdurs,
     seg_e = np.empty((P, cap), np.float64)
     seg_count = np.zeros(P, np.int32)
     pf_util = np.zeros(P, np.float64)
-    status = np.empty(P, np.int32)
+    status = np.full(P, -1, np.int32)
     lib.repro_fill_batch(
         ctypes.byref(ga.struct), ctypes.byref(qa.struct), P,
         _ptr_f64(start), _ptr_f64(ev_end), _ptr_f64(mk), _ptr_f64(qdurs),
@@ -425,35 +427,3 @@ def fill_batch(ga: GraphArrays, qa: QueueArrays, start, ev_end, mk, qdurs,
         _ptr_f64(pf_util), _ptr_i32(status))
     return dev_steps, refresh, seg_item, seg_s, seg_e, seg_count, \
         pf_util, status
-
-
-def windowed_util_batch(ga: GraphArrays, start, ev_end, ev_order, mk):
-    """The engine's windowed-utilization fold for every point at once."""
-    lib = _load()
-    P = start.shape[0]
-    util = np.empty(P, np.float64)
-    lib.repro_windowed_util_batch(
-        ctypes.byref(ga.struct), P,
-        _ptr_f64(np.ascontiguousarray(start, np.float64)),
-        _ptr_f64(np.ascontiguousarray(ev_end, np.float64)),
-        _ptr_i32(np.ascontiguousarray(ev_order, np.int32)),
-        _ptr_f64(np.ascontiguousarray(mk, np.float64)), _ptr_f64(util))
-    return util
-
-
-def mc_metrics_batch(ga: GraphArrays, start, ev_end, ev_order, mk):
-    """Bubble fraction + utilization for every replicate at once."""
-    lib = _load()
-    P = start.shape[0]
-    bubble = np.empty(P, np.float64)
-    util = np.empty(P, np.float64)
-    rc = lib.repro_mc_metrics_batch(
-        ctypes.byref(ga.struct), P,
-        _ptr_f64(np.ascontiguousarray(start, np.float64)),
-        _ptr_f64(np.ascontiguousarray(ev_end, np.float64)),
-        _ptr_i32(np.ascontiguousarray(ev_order, np.int32)),
-        _ptr_f64(np.ascontiguousarray(mk, np.float64)),
-        _ptr_f64(bubble), _ptr_f64(util))
-    if rc != 0:  # allocation failure: caller falls back
-        return None, None
-    return bubble, util

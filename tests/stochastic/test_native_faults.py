@@ -5,9 +5,9 @@ restart-replay of :func:`~repro.sweep.retime.simulate_compiled`; these
 tests fuzz the whole surface — every registered schedule, mixed
 jitter/straggler/preemption perturbations, hand-built edge cases
 including the negative-lost-work regression PR 7 fixed — comparing with
-``==`` on floats (no tolerances) including the restart rows, plus the
-laziness of restart materialization and the engine counters the batched
-MC path feeds.
+``==`` on floats (no tolerances) including the restart rows and the
+bubble fraction the same pass folds, plus the python types of the
+restart rows and the engine counters the batched MC path feeds.
 """
 
 import pytest
@@ -16,6 +16,7 @@ from repro.perfmodel.arch import ARCHITECTURES
 from repro.perfmodel.hardware import HARDWARE, P100
 from repro.pipefisher.runner import PipeFisherRun
 from repro.stochastic import StochasticModel, monte_carlo
+from repro.stochastic.mc import compiled_bubble_fraction
 from repro.stochastic.perturb import (
     perturbed_durations,
     sample_perturbation,
@@ -108,7 +109,8 @@ def test_fault_batch_matches_reference(name):
         rows = _perturbation_rows(point, graph, durs, range(FUZZ_SEEDS))
         matrix = np.asarray([td for td, _ in rows], np.float64)
         fb = sweep_batch.simulate_graph_batch(
-            graph, task_durs=matrix, faults=[f for _, f in rows])
+            graph, task_durs=matrix, faults=[f for _, f in rows],
+            bubbles=True)
         assert fb.rest is not None  # a fault-replay pass
         n_faulty = 0
         for i, (td, f) in enumerate(rows):
@@ -116,6 +118,7 @@ def test_fault_batch_matches_reference(name):
             ref = simulate_compiled(graph, None, task_durs=list(td),
                                     faults=f)
             _assert_fault_sims_equal(ref, fb.sim(i))
+            assert fb.bubble[i] == compiled_bubble_fraction(graph, ref)
             n, down, lost = fb.restart_stats(i)
             assert n == len(ref.restarts)
             ref_down = 0.0
@@ -228,33 +231,22 @@ class TestEdgeCases:
                 ref, self._native_sim(g, [1.0, 1.0, 1.0], f))
 
 
-class TestLaziness:
+class TestRestartRows:
     def _fault_batch(self):
         g = chain_graph([1.0, 1.0])
         return sweep_batch.simulate_graph_batch(
             g, task_durs=np.asarray([[1.0, 1.0]], np.float64),
             faults=[faults([0.5], delay=0.5)])
 
-    def test_restarts_materialize_lazily(self):
-        fb = self._fault_batch()
-        nr = fb.restarts(0)
-        assert isinstance(nr, sweep_batch.NativeRestarts)
-        assert not nr.materialized
-        assert len(nr) == 1          # len() needs no materialization
-        assert not nr.materialized
-        assert nr[0][2] == 0.5       # first touch materializes
-        assert nr.materialized
-
-    def test_restart_stats_do_not_materialize_rows(self):
+    def test_restart_stats_fold_the_rows(self):
         fb = self._fault_batch()
         n, down, lost = fb.restart_stats(0)
         assert (n, down, lost) == (1, 0.5, 0.5)
-        # stats fold straight off the arrays: a fresh restarts() view of
-        # the same row is still unmaterialized.
-        assert not fb.restarts(0).materialized
+        assert fb.sim(0).restarts == ((0, 0, 0.5, 1.0, 0.5),)
 
     def test_restart_rows_are_python_scalars(self):
-        rows = tuple(self._fault_batch().restarts(0))
+        rows = self._fault_batch().sim(0).restarts
+        assert type(rows) is tuple
         (dev, task, fail, resume, lost), = rows
         assert isinstance(dev, int) and isinstance(task, int)
         assert isinstance(fail, float) and isinstance(resume, float)

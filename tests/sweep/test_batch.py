@@ -16,11 +16,17 @@ import pytest
 from repro.campaign.units import get_unit_kind
 from repro.perfmodel.hardware import P100
 from repro.pipefisher.runner import PipeFisherRun
+from repro.stochastic import StochasticModel
+from repro.stochastic.mc import replicate_batch, replicate_from_point
 from repro.sweep import SweepEngine
 from repro.sweep import batch as sweep_batch
 from repro.sweep import native
+from repro.sweep.engine import _windowed_utilization
 from repro.sweep.retime import fill_compiled, simulate_compiled
-from tests.sweep.test_engine_equivalence import CASES
+from tests.sweep.test_engine_equivalence import (
+    CASES,
+    assert_reports_identical,
+)
 
 #: One representative case per registered schedule family.
 SCHEDULE_CASES = ("gpipe", "1f1b", "chimera", "interleaved", "zb1f1b")
@@ -63,7 +69,9 @@ def test_simulate_batch_matches_reference(name):
         gb = sweep_batch.simulate_graph_batch(graph, tables)
         assert gb is not None and all(gb.ok(i) for i in range(FUZZ_SEEDS))
         for i, table in enumerate(tables):
-            _assert_sims_equal(simulate_compiled(graph, table), gb.sim(i))
+            ref = simulate_compiled(graph, table)
+            _assert_sims_equal(ref, gb.sim(i))
+            assert gb.util[i] == _windowed_utilization(graph, ref)
 
 
 @pytest.mark.parametrize("name", SCHEDULE_CASES)
@@ -148,6 +156,38 @@ def test_failed_rows_fall_back_per_point():
             for i in range(4)]
     for table, got in zip(tables, sims):
         _assert_sims_equal(simulate_compiled(graph, table), got)
+
+
+class _AllocFailingCore:
+    """A loaded core that cannot allocate: returns -1, writes nothing."""
+
+    @staticmethod
+    def repro_sim_batch(*args):
+        return -1
+
+    repro_fill_batch = repro_sim_batch
+
+
+def test_allocation_failure_falls_back(monkeypatch):
+    """Rows of a call that wrote no status must read as failed, so the
+    engine and Monte Carlo re-run every one through the reference."""
+    monkeypatch.setattr(native, "_load", lambda: _AllocFailingCore)
+    run = PipeFisherRun(hardware=P100, **CASES["chimera"])
+    engine = SweepEngine()
+    assert_reports_identical(run.execute(), engine.run(run))
+    assert engine.stats()["native_evals"] == 0
+
+    point = engine.compiled_point(run)
+    gb = sweep_batch.simulate_graph_batch(point.template.base_graph,
+                                          [point.base_durs] * 3)
+    assert not any(gb.ok(i) for i in range(3))
+    nominal = engine.nominal_evaluation(point)
+    model = StochasticModel(jitter_sigma=0.03, preemption_rate=0.5,
+                            restart_delay_frac=0.05)
+    seeds = range(6)
+    assert replicate_batch(point, nominal, model, seeds, engine=engine) \
+        == [replicate_from_point(point, nominal, model, s) for s in seeds]
+    assert engine.stats()["mc_batched_replicates"] == 0
 
 
 def test_engine_phase_counters():

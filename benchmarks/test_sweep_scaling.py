@@ -14,11 +14,13 @@ loop).  Two engine measurements sit against it:
   cost of a new duration table in a long campaign — floor **50x**.
 
 Both engine measurements time a plain ``[engine.run(p) for p in
-points]`` loop, the path every sweep, campaign and service request
-takes.  The per-point loop and both engine measurements alternate in
-``PAIRS`` rounds, and each floor gates on the median per-round ratio:
-a round sees the same host load on every side, and the median ignores
-a round that a load spike hit on one side only.
+points]`` loop of one-point groups, the path every campaign unit takes
+(the planning service evaluates a request's points as one
+``engine.run_group``).  The per-point loop and both engine
+measurements alternate in ``PAIRS`` rounds, and each floor gates on
+the median per-round ratio: a round sees the same host load on every
+side, and the median ignores a round that a load spike hit on one side
+only.
 
 Every report from both engine paths is asserted **bit-identical** to
 the frozen loop before any speedup is asserted — the engine is only

@@ -156,22 +156,32 @@ class RunDB:
             self.records[rec["key"]] = rec
 
     def append(self, record: dict) -> None:
-        """Durably append one unit record and index it.
+        """Durably append one unit record and index it."""
+        self.append_many([record])
 
-        If the file ends mid-line (a previous writer was killed during
-        its final append), a newline is inserted first so the new record
-        starts clean instead of fusing with the truncated fragment.
+    def append_many(self, records) -> None:
+        """Durably append unit records, in order, and index them.
+
+        One tail check, one open and one write for the whole group; the
+        file bytes are those of one :meth:`append` per record.  If the
+        file ends mid-line (a previous writer was killed during its
+        final append), a newline is inserted first so the new records
+        start clean instead of fusing with the truncated fragment.
         """
-        if "key" not in record:
-            raise ValueError(f"record has no unit key: {record}")
-        needs_newline = (self.units_path.exists()
-                         and _ends_mid_line(self.units_path))
+        records = list(records)
+        for record in records:
+            if "key" not in record:
+                raise ValueError(f"record has no unit key: {record}")
+        if not records:
+            return
+        text = "".join(json.dumps(r) + "\n" for r in records)
+        if self.units_path.exists() and _ends_mid_line(self.units_path):
+            text = "\n" + text
         with self.units_path.open("a") as f:
-            if needs_newline:
-                f.write("\n")
-            f.write(json.dumps(record) + "\n")
+            f.write(text)
             f.flush()
-        self.records[record["key"]] = record
+        for record in records:
+            self.records[record["key"]] = record
 
     def done(self, key: str) -> dict | None:
         """The completed record for ``key``, if any."""

@@ -29,7 +29,8 @@ from repro.campaign.units import UnitContext, execute_unit
 
 #: Scalar sweep-engine counters surfaced per unit record.
 _ENGINE_COUNTERS = ("runs", "timing_hits", "reexecutions", "native_evals",
-                    "mc_batched_replicates", "mc_faulty_batched")
+                    "native_passes", "mc_batched_replicates",
+                    "mc_faulty_batched")
 #: BoundedCache counters surfaced per unit record, per cache.
 _CACHE_COUNTERS = ("hits", "misses", "evictions")
 _CACHES = ("templates", "stage_costs")

@@ -3,12 +3,17 @@
 A :class:`UnitKind` pairs an ``execute`` function (params -> live result
 object, evaluated through the shared sweep engine) with a ``serialize``
 function ((live object, params) -> JSON-safe value recorded in the run
-DB), and :func:`execute_unit` is the one place a unit runs: the
-campaign runner and the planning service both call it.  The two generic
-kinds every simulator campaign is built from live here:
+DB), and :func:`execute_units` is the one place units run: the planning
+service hands it a request's store misses as one group, and the
+campaign runner runs one unit at a time through :func:`execute_unit`
+(``execute_units([unit], ctx)[0]``).  A kind may also register an
+``execute_group`` function that executes many units' params at once;
+kinds without one are looped.  The two generic kinds every simulator
+campaign is built from live here:
 
 * ``pipefisher`` — one :class:`~repro.pipefisher.runner.PipeFisherRun`
-  point, evaluated through ``engine.run`` (or ``run.execute()`` when
+  point; a group's points are evaluated through one
+  ``engine.run_group`` call (or each through ``run.execute()`` when
   ``via_engine`` is false, preserving the exact pre-campaign execution
   path of the fig. 1/3 panels);
 * ``perf_report`` — one §3.3 analytic :class:`PerfReport` cell, the unit
@@ -49,6 +54,9 @@ class UnitKind:
     #: perturbations) and never change the task graph or K-FAC work
     #: inventory.  Routing hint only: results never depend on it.
     timing_params: frozenset = frozenset()
+    #: ``(params list, ctx) -> live objects``, one per params, in
+    #: order; None loops ``execute``.  Results must equal the loop's.
+    execute_group: Callable | None = None
 
 
 @dataclass
@@ -66,12 +74,14 @@ def register_unit_kind(name: str,
                        serialize: Callable[[Any, dict], Any],
                        replace: bool = False,
                        seed_aware: bool = False,
-                       timing_params=()) -> UnitKind:
+                       timing_params=(),
+                       execute_group=None) -> UnitKind:
     if name in _KINDS and not replace:
         raise ValueError(f"unit kind {name!r} already registered")
     kind = UnitKind(name=name, execute=execute, serialize=serialize,
                     seed_aware=seed_aware,
-                    timing_params=frozenset(timing_params))
+                    timing_params=frozenset(timing_params),
+                    execute_group=execute_group)
     _KINDS[name] = kind
     return kind
 
@@ -85,20 +95,39 @@ def get_unit_kind(name: str) -> UnitKind:
         ) from None
 
 
-def execute_unit(unit, ctx: UnitContext) -> tuple:
-    """Run one unit: ``(live object, serialized value, elapsed_s)``.
+def execute_units(units, ctx: UnitContext) -> list:
+    """Run ``units``: one ``(live object, serialized value, elapsed_s)``
+    per unit, in order.
 
-    Looks up the unit's kind, executes it against ``ctx.engine`` and
-    serializes the result; ``elapsed_s`` is the wall time of this whole
-    call.  Exceptions propagate unchanged — each caller maps them its
-    own way.
+    Units are grouped by kind, and each kind's group is executed
+    against ``ctx.engine`` (in one ``execute_group`` call where the
+    kind registers one, else a loop over ``execute``) and serialized;
+    a unit's ``elapsed_s`` is its even share of its group's wall time.
+    Exceptions propagate unchanged — each caller maps them its own
+    way.
     """
-    started = perf_counter()
-    kind = get_unit_kind(unit.kind)
-    params = unit.params_dict()
-    obj = kind.execute(params, ctx)
-    value = kind.serialize(obj, params)
-    return obj, value, perf_counter() - started
+    by_kind: dict = {}
+    for i, unit in enumerate(units):
+        by_kind.setdefault(unit.kind, []).append(i)
+    out: list = [None] * len(units)
+    for name, members in by_kind.items():
+        started = perf_counter()
+        kind = get_unit_kind(name)
+        params = [units[i].params_dict() for i in members]
+        if kind.execute_group is not None:
+            objs = kind.execute_group(params, ctx)
+        else:
+            objs = [kind.execute(p, ctx) for p in params]
+        values = [kind.serialize(obj, p) for obj, p in zip(objs, params)]
+        elapsed = (perf_counter() - started) / len(members)
+        for i, obj, value in zip(members, objs, values):
+            out[i] = (obj, value, elapsed)
+    return out
+
+
+def execute_unit(unit, ctx: UnitContext) -> tuple:
+    """Run one unit: ``execute_units([unit], ctx)[0]``."""
+    return execute_units([unit], ctx)[0]
 
 
 def unit_kind_names() -> list[str]:
@@ -151,12 +180,27 @@ def pipefisher_run(p: dict):
     )
 
 
+def _execute_pipefisher_group(params_list: list, ctx: UnitContext) -> list:
+    """Every point's report: the ``via_engine`` ones from one
+    ``engine.run_group`` call, the rest from ``run.execute()``.
+
+    All runs are built before any is evaluated, so a point its params
+    reject raises before anything runs.
+    """
+    runs, via_engine = [], []
+    for params in params_list:
+        p = dict(params)
+        via_engine.append(p.pop("via_engine", True))
+        p.pop("record_bubble", None)  # serializer-only knob
+        runs.append(pipefisher_run(p))
+    reports = iter(ctx.engine.run_group(
+        [run for run, v in zip(runs, via_engine) if v]))
+    return [next(reports) if v else run.execute()
+            for run, v in zip(runs, via_engine)]
+
+
 def _execute_pipefisher(params: dict, ctx: UnitContext):
-    p = dict(params)
-    via_engine = p.pop("via_engine", True)
-    p.pop("record_bubble", None)  # serializer-only knob
-    run = pipefisher_run(p)
-    return ctx.engine.run(run) if via_engine else run.execute()
+    return _execute_pipefisher_group([params], ctx)[0]
 
 
 def _serialize_pipefisher(report, params: dict):
@@ -247,5 +291,6 @@ def pf_report_row(value: dict) -> list:
 
 
 register_unit_kind("pipefisher", _execute_pipefisher, _serialize_pipefisher,
-                   timing_params=("arch", "hardware", "b_micro"))
+                   timing_params=("arch", "hardware", "b_micro"),
+                   execute_group=_execute_pipefisher_group)
 register_unit_kind("perf_report", _execute_perf_report, _serialize_perf_report)

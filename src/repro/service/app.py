@@ -15,10 +15,10 @@ Stdlib only (``http.server.ThreadingHTTPServer``), one
 
 Every configuration evaluated anywhere — inline sweep, job, or CLI
 campaign — runs through the one
-:func:`~repro.campaign.units.execute_unit` and lands in one result
-store keyed by the canonical point hash, so repeat queries are cache
-hits and service values are bit-identical to ``repro campaign run`` of
-the same grid.
+:func:`~repro.campaign.units.execute_units` (a request's store misses
+as one group) and lands in one result store keyed by the canonical
+point hash, so repeat queries are cache hits and service values are
+bit-identical to ``repro campaign run`` of the same grid.
 
 Concurrency model: the HTTP layer threads freely; evaluation routes
 each request to one slot of a small :class:`EnginePool` by a structural
@@ -401,43 +401,65 @@ class PlanningService:
     def _execute_units(self, units, charge: bool = True):
         """Serve ``units`` from the store, executing the misses.
 
-        Store misses run through
-        :func:`~repro.campaign.units.execute_unit` against the slot's
-        engine — the campaign runner's own per-unit call — so the
-        recorded values are bit-identical to a ``repro campaign run`` of
-        the same grid.  A unit whose params its kind rejects
-        (``KeyError``/``TypeError``/``ValueError``) answers 400; on any
-        exception the cost of the units not executed is refunded.  Only
-        the routed slot is locked; the store and budget are internally
-        atomic, so distinct grids execute concurrently.
+        The store misses run as one group through
+        :func:`~repro.campaign.units.execute_units` against the slot's
+        engine — the campaign runner's own execution, so the recorded
+        values are bit-identical to a ``repro campaign run`` of the same
+        grid — and are stored together.  On any exception the cost of
+        the units not executed is refunded.  Only the routed slot is
+        locked; the store and budget are internally atomic, so distinct
+        grids execute concurrently.
         """
-        from repro.campaign.units import UnitContext, execute_unit
+        from repro.campaign.units import UnitContext
 
         with self.pool.route(self._units_key(units)) as slot:
             cost = sum(1 for u in units if not self.store.contains(u.key))
             if charge:
                 self._charge(cost)
             ctx = UnitContext(engine=slot.engine)
-            out = []
-            executed = 0
+            out = [self.store.get(u.key) for u in units]
+            misses = [u for u, rec in zip(units, out) if rec is None]
+            stored: list = []
             try:
-                for u in units:
-                    rec = self.store.get(u.key)
-                    if rec is None:
-                        try:
-                            _, value, elapsed = execute_unit(u, ctx)
-                        except (KeyError, TypeError, ValueError) as exc:
-                            raise ServiceError(
-                                400, f"unit {u.key} rejected: {exc}") from exc
-                        rec = self.store.put(store_record(
-                            u.key, u.kind, u.params_dict(), value, elapsed))
-                        executed += 1
-                    out.append(rec)
+                self._execute_misses(misses, ctx, stored)
             except Exception:
                 if charge:
-                    self.metrics.refund(cost - executed)
+                    self.metrics.refund(cost - len(stored))
                 raise
-            return out, executed, (cost if charge else 0)
+            fresh = iter(stored)
+            out = [rec if rec is not None else next(fresh) for rec in out]
+            return out, len(stored), (cost if charge else 0)
+
+    def _execute_misses(self, misses, ctx, stored: list) -> None:
+        """Execute and store ``misses``, appending their records to
+        ``stored`` in order.
+
+        If the group raises, the misses are re-run one at a time, each
+        stored as it completes, up to the one that raises: the units
+        before it keep their results (and charge) and the rest stay
+        undone, as a per-unit loop leaves them.  A unit whose params its
+        kind rejects (``KeyError``/``TypeError``/``ValueError``), in
+        building its run or in compiling it, answers 400.
+        """
+        from repro.campaign.units import execute_unit, execute_units
+
+        try:
+            results = execute_units(misses, ctx)
+        except Exception:
+            for u in misses:
+                try:
+                    result = execute_unit(u, ctx)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ServiceError(
+                        400, f"unit {u.key} rejected: {exc}") from exc
+                stored += self._store_results([u], [result])
+            return
+        stored += self._store_results(misses, results)
+
+    def _store_results(self, units, results) -> list:
+        return self.store.put_many([
+            store_record(u.key, u.kind, u.params_dict(), value, elapsed)
+            for u, (_, value, elapsed) in zip(units, results)])
 
     def _run_job(self, job: dict) -> None:
         """Execute one queued job (called from the queue's worker thread).
@@ -472,10 +494,9 @@ class PlanningService:
         run_dir = self.state_dir / "jobs" / job_id
         with self.pool.route(self._units_key(units)) as slot:
             db = RunDB.open(run_dir)
-            for u in units:
-                rec = self.store.peek(u.key)
-                if rec is not None and db.done(u.key) is None:
-                    db.append(rec)
+            seeds = (self.store.peek(u.key) for u in units
+                     if db.done(u.key) is None)
+            db.append_many([rec for rec in seeds if rec is not None])
             runner = CampaignRunner(engine=slot.engine, run_dir=run_dir)
             try:
                 runner.run(
@@ -483,9 +504,8 @@ class PlanningService:
                     jobs=self.worker_jobs if self.worker_jobs > 1 else None)
             finally:
                 db.reload()  # the runner's records, a failed run's too
-                for rec in db.records.values():
-                    if rec.get("status") == REC_DONE:
-                        self.store.put(rec)
+                self.store.put_many([rec for rec in db.records.values()
+                                     if rec.get("status") == REC_DONE])
 
 
 # -- the HTTP layer ---------------------------------------------------------------
@@ -513,6 +533,11 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-planner/1.0"
     protocol_version = "HTTP/1.1"
     timeout = SOCKET_TIMEOUT_S
+    # TCP_NODELAY on each accepted socket: a reply goes out as a header
+    # write and a body write, and with Nagle's algorithm the body waits
+    # for the client's delayed ACK of the headers — ~40 ms per request
+    # on a keep-alive connection.
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; the service has
     # /metrics for that.

@@ -80,21 +80,30 @@ class ResultStore:
             return rec
 
     def put(self, record: dict) -> dict:
-        """Index (and persist) one completed record, idempotently.
+        """Index (and persist) one completed record: ``put_many``."""
+        return self.put_many([record])[0]
 
-        A record already stored under the key is kept as-is — results
-        are content-addressed, so the first write wins and repeats are
-        no-ops rather than appends.
+    def put_many(self, records) -> list:
+        """Index (and persist) completed records, idempotently.
+
+        Returns the stored record per input, in order.  A record already
+        stored under its key is kept as-is — results are
+        content-addressed, so the first write wins and repeats are
+        no-ops rather than appends.  The new records reach the run DB in
+        one :meth:`~repro.campaign.rundb.RunDB.append_many`.
         """
-        rec = from_campaign_record(record)
+        recs = [from_campaign_record(r) for r in records]
         with self._lock:
-            existing = self._mem.get(rec["key"])
-            if existing is not None:
-                return existing
-            self._mem[rec["key"]] = rec
-            if self._db is not None:
-                self._db.append(rec)
-            return rec
+            out, new = [], []
+            for rec in recs:
+                existing = self._mem.get(rec["key"])
+                if existing is None:
+                    self._mem[rec["key"]] = existing = rec
+                    new.append(rec)
+                out.append(existing)
+            if self._db is not None and new:
+                self._db.append_many(new)
+            return out
 
     def stats(self) -> dict:
         with self._lock:

@@ -10,10 +10,10 @@ the core cannot handle (deadlock, filler failure, structural feature it
 doesn't model) reports a non-OK status (``ok(i)`` is False), and the
 caller re-runs that point through the pure-python reference path, which
 also raises the reference's exact errors.  The two callers are
-:func:`repro.sweep.engine.native_evaluation` (one sweep point per call)
-and :func:`repro.stochastic.mc.replicate_batch` (one seed block per
-call: a single seed for a campaign ``stochastic`` unit, the whole block
-for ``monte_carlo``).
+:func:`repro.sweep.engine.native_evaluations` (one call per template
+group of sweep points) and :func:`repro.stochastic.mc.replicate_batch`
+(one seed block per call: a single seed for a campaign ``stochastic``
+unit, the whole block for ``monte_carlo``).
 
 Everything returned is reference-typed, with the per-task and per-item
 lists materialized lazily: :class:`NativeSim` (whose ``restarts`` is a

@@ -79,6 +79,10 @@ class BoundedCache:
             self._data.popitem(last=False)
             self._evictions += 1
 
+    def discard(self, key: Hashable) -> None:
+        """Remove ``key`` if present (no accounting)."""
+        self._data.pop(key, None)
+
     def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> Any:
         """``get`` with a fallback ``factory()`` whose result is stored."""
         sentinel = _MISSING

@@ -22,12 +22,15 @@ re-timing replays the executor's and bubble filler's float operations in
 the reference order, and utilizations are folded with the reference's
 exact summation order.
 
-An uncached duration table is timed one of two ways, both bit-identical:
-the native core (:mod:`repro.sweep.batch`) through
-:func:`native_evaluation`, or the pure-python reference
-(:mod:`repro.sweep.retime`) through :func:`python_evaluation` for the
-tables the core cannot serve.  :meth:`SweepEngine._evaluate` times one
-table per call; a grid is a loop over :meth:`SweepEngine.run`.
+``run_group()`` evaluates a list of points in order and is the one
+evaluation path (``run(r)`` is ``run_group([r])[0]``).  It serves
+timing-cache hits, and duration tables repeated within the group, with
+the same counters and LRU order a loop over ``run`` would; the tables
+left over are timed per template in one :func:`native_evaluations`
+pass (two native event-loop calls and one fill call for the whole
+group, :mod:`repro.sweep.batch`), and any row the core cannot serve
+through the pure-python reference (:mod:`repro.sweep.retime`) via
+:func:`python_evaluation`.  Both timings are bit-identical.
 """
 
 from __future__ import annotations
@@ -136,6 +139,8 @@ class SweepEngine:
         self.reexecutions = 0
         #: Re-executions served by the native core (subset of the above).
         self.native_evals = 0
+        #: Native passes: one per template group of re-executions.
+        self.native_passes = 0
         #: Monte Carlo replicates re-timed through a native batch pass.
         self.mc_batched_replicates = 0
         #: Fault-carrying subset of the above (restart-replay core).
@@ -154,6 +159,7 @@ class SweepEngine:
         self.timing_hits = 0
         self.reexecutions = 0
         self.native_evals = 0
+        self.native_passes = 0
         self.mc_batched_replicates = 0
         self.mc_faulty_batched = 0
         self.phase_s = dict.fromkeys(self.phase_s, 0.0)
@@ -179,6 +185,7 @@ class SweepEngine:
             "rescales": 0,
             "reexecutions": self.reexecutions,
             "native_evals": self.native_evals,
+            "native_passes": self.native_passes,
             "delta_retimes": 0,
             "mc_batched_replicates": self.mc_batched_replicates,
             "mc_faulty_batched": self.mc_faulty_batched,
@@ -240,17 +247,29 @@ class SweepEngine:
 
     def run(self, run: PipeFisherRun, costs: StageCosts | None = None
             ) -> PipeFisherReport:
-        """Evaluate one point, bit-identical to ``run.execute()``.
+        """Evaluate one point: ``run_group([run], costs)[0]``."""
+        return self.run_group([run], costs)[0]
 
-        ``costs`` overrides the cached stage-cost model (ablations and
-        tests use synthetic costs; normal sweeps leave it None).
+    def run_group(self, runs, costs: StageCosts | None = None) -> list:
+        """Evaluate ``runs`` in order, each bit-identical to ``run.execute()``.
+
+        Every run's compiled point is resolved first, in order, so a run
+        the builders reject raises before anything is timed.  The
+        duration tables are then served like one :meth:`run` call per
+        point would serve them — same counters, same timing-cache LRU
+        order — except that each template's uncached tables are timed
+        together in one native pass.  ``costs`` overrides the cached
+        stage-cost model (ablations and tests use synthetic costs;
+        normal sweeps leave it None).
         """
-        self.runs += 1
-        point = self.compiled_point(run, costs)
-        evaluation = self._evaluate(point.template, point.base_durs,
-                                    point.pf_durs, point.qdurs)
-        return self._build_report(run, point.template, point.qdurs,
-                                  evaluation)
+        runs = list(runs)
+        points = []
+        for run in runs:
+            self.runs += 1
+            points.append(self.compiled_point(run, costs))
+        evaluations = self._evaluate_group(points)
+        return [self._build_report(run, point.template, point.qdurs, ev)
+                for run, point, ev in zip(runs, points, evaluations)]
 
     def compiled_point(self, run: PipeFisherRun,
                        costs: StageCosts | None = None) -> CompiledPoint:
@@ -334,8 +353,7 @@ class SweepEngine:
         Carlo replicates share one nominal evaluation as their reference
         timing and time unit.
         """
-        return self._evaluate(point.template, point.base_durs,
-                              point.pf_durs, point.qdurs)
+        return self._evaluate_group([point])[0]
 
     # -- internals ----------------------------------------------------------------
 
@@ -363,28 +381,56 @@ class SweepEngine:
         durs[DUR_ZERO] = 0.0
         return tuple(durs)
 
-    def _evaluate(self, template: ScheduleTemplate, base_durs: tuple,
-                  pf_durs: tuple, qdurs: tuple) -> _Evaluation:
-        """Time + fill one duration table.
+    def _evaluate_group(self, points) -> list:
+        """Time + fill each point's duration table, in point order.
 
-        Timing-cache hit → native core → python reference.  Every path
-        produces bit-identical values; they differ only in cost.
+        Timing-cache lookups and inserts run in point order, exactly as
+        one call per point would make them: a miss is inserted at once
+        as an empty :class:`_Evaluation`, which a later point of the
+        group with the same table hits.  Each template's misses are then
+        timed in one :func:`native_evaluations` pass, rows the core
+        cannot serve by :func:`python_evaluation`, and the empty entries
+        filled in.  If timing raises, the entries left empty are removed
+        from the cache again.
         """
-        timings: BoundedCache = template.timings
-        dur_key = (base_durs, pf_durs, qdurs)
-        cached = timings.get(dur_key)
-        if cached is not None:
-            self.timing_hits += 1
-            return cached
-
-        evaluation = native_evaluation(template, dur_key, self.phase_s)
-        if evaluation is not None:
-            self.native_evals += 1
-        else:
-            evaluation = python_evaluation(template, dur_key, self.phase_s)
-        self.reexecutions += 1
-        timings.put(dur_key, evaluation)
-        return evaluation
+        evaluations = []
+        misses: dict = {}  # id(template) -> (template, dur_keys, entries)
+        for point in points:
+            timings: BoundedCache = point.template.timings
+            dur_key = (point.base_durs, point.pf_durs, point.qdurs)
+            ev = timings.get(dur_key)
+            if ev is not None:
+                self.timing_hits += 1
+            else:
+                ev = _Evaluation(None, None, None, 0.0, 0.0, 0)
+                timings.put(dur_key, ev)
+                _, keys, entries = misses.setdefault(
+                    id(point.template), (point.template, [], []))
+                keys.append(dur_key)
+                entries.append(ev)
+            evaluations.append(ev)
+        try:
+            for template, keys, entries in misses.values():
+                timed = native_evaluations(template, keys, self.phase_s)
+                if timed is None:
+                    timed = [None] * len(keys)
+                else:
+                    self.native_passes += 1
+                for dur_key, entry, ev in zip(keys, entries, timed):
+                    if ev is None:
+                        ev = python_evaluation(template, dur_key,
+                                               self.phase_s)
+                    else:
+                        self.native_evals += 1
+                    self.reexecutions += 1
+                    vars(entry).update(vars(ev))
+        except BaseException:
+            for template, keys, entries in misses.values():
+                for dur_key, entry in zip(keys, entries):
+                    if entry.base is None:
+                        template.timings.discard(dur_key)
+            raise
+        return evaluations
 
     def _build_report(self, run: PipeFisherRun, template: ScheduleTemplate,
                       qdurs: tuple, ev: _Evaluation) -> PipeFisherReport:
@@ -419,39 +465,46 @@ class SweepEngine:
         return report
 
 
-def native_evaluation(template: ScheduleTemplate, dur_key: tuple,
-                      phase_s: dict) -> _Evaluation | None:
-    """Evaluate one duration table through the native core.
+def native_evaluations(template: ScheduleTemplate, dur_keys: list,
+                       phase_s: dict) -> list | None:
+    """Evaluate a template's duration tables in one native pass.
 
-    Returns None where the table needs :func:`python_evaluation` (core
-    unavailable for this template, or a non-OK sim/fill status) — the
-    reference then raises its own errors.  Wall-clock is added to
-    ``phase_s["retime"]`` and ``phase_s["fill"]``.
+    Both graphs are simulated for every table in one call each, and
+    every table's bubbles filled in a third.  Returns one
+    :class:`_Evaluation` per table, None in the rows that need
+    :func:`python_evaluation` (a non-OK sim/fill status: the reference
+    then raises its own errors), or None outright when the core cannot
+    serve this template.  Wall-clock is added to ``phase_s["retime"]``
+    and ``phase_s["fill"]``.
     """
     if not _batch.batching_supported(template):
         return None
-    base_durs, pf_durs, qdurs = dur_key
     t_begin = perf_counter()
-    gb_b = _batch.simulate_graph_batch(template.base_graph, [base_durs])
-    gb_p = _batch.simulate_graph_batch(template.pf_graph, [pf_durs])
+    gb_b = _batch.simulate_graph_batch(template.base_graph,
+                                       [k[0] for k in dur_keys])
+    gb_p = _batch.simulate_graph_batch(template.pf_graph,
+                                       [k[1] for k in dur_keys])
     phase_s["retime"] += perf_counter() - t_begin
     if gb_b is None or gb_p is None:
         return None
     t_begin = perf_counter()
-    evaluation = None
-    fb = _batch.fill_graph_batch(template, gb_p, [qdurs])
-    if fb is not None and gb_b.ok(0) and gb_p.ok(0) and fb.ok(0):
-        pf = gb_p.sim(0)
-        evaluation = _Evaluation(
-            base=gb_b.sim(0),
+    fb = _batch.fill_graph_batch(template, gb_p, [k[2] for k in dur_keys])
+    evaluations = []
+    for i in range(len(dur_keys)):
+        if fb is None or not (gb_b.ok(i) and gb_p.ok(i) and fb.ok(i)):
+            evaluations.append(None)
+            continue
+        pf = gb_p.sim(i)
+        evaluations.append(_Evaluation(
+            base=gb_b.sim(i),
             pf=pf,
-            fill=fb.fill(0, pf.makespan),
-            base_util=float(gb_b.util[0]),
-            pf_util=float(fb.pf_util[0]),
-            refresh=max(int(fb.refresh[0]), 1),
-        )
+            fill=fb.fill(i, pf.makespan),
+            base_util=float(gb_b.util[i]),
+            pf_util=float(fb.pf_util[i]),
+            refresh=max(int(fb.refresh[i]), 1),
+        ))
     phase_s["fill"] += perf_counter() - t_begin
-    return evaluation
+    return evaluations
 
 
 def python_evaluation(template: ScheduleTemplate, dur_key: tuple,
@@ -460,7 +513,7 @@ def python_evaluation(template: ScheduleTemplate, dur_key: tuple,
 
     Simulates both graphs, fills the bubbles, and folds the
     utilizations; wall-clock is added to ``phase_s`` like
-    :func:`native_evaluation`.
+    :func:`native_evaluations`.
     """
     base_durs, pf_durs, qdurs = dur_key
     t_begin = perf_counter()

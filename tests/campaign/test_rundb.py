@@ -170,6 +170,43 @@ def test_append_still_heals_truncation_with_tail_probe(tmp_path):
     assert fresh.skipped_lines == 1
 
 
+def test_append_many_writes_the_bytes_of_single_appends(tmp_path):
+    records = [_rec(f"k{i}", {"v": i / 3}) for i in range(6)]
+    records.append(_rec("k1", 7))  # a repeat key: last record wins
+    single = RunDB.open(tmp_path / "single")
+    for rec in records:
+        single.append(rec)
+    grouped = RunDB.open(tmp_path / "grouped")
+    grouped.append_many(records[:2])
+    grouped.append_many([])
+    grouped.append_many(records[2:])
+    assert grouped.units_path.read_bytes() == single.units_path.read_bytes()
+    assert grouped.records == single.records
+    assert RunDB.open(tmp_path / "grouped").records == single.records
+
+
+def test_append_many_heals_a_truncated_tail_with_one_newline(tmp_path):
+    db = RunDB.open(tmp_path / "run")
+    db.append(_rec("k1", 1))
+    fragment = '{"key": "k2", "status": "do'
+    with db.units_path.open("a") as f:
+        f.write(fragment)  # killed mid-append
+    db.append_many([_rec("k3", 3), _rec("k4", 4)])
+    lines = db.units_path.read_text().split("\n")
+    assert lines == [json.dumps(_rec("k1", 1)), fragment,
+                     json.dumps(_rec("k3", 3)), json.dumps(_rec("k4", 4)), ""]
+    fresh = RunDB.open(tmp_path / "run")
+    assert fresh.values() == {"k1": 1, "k3": 3, "k4": 4}
+    assert fresh.skipped_lines == 1
+
+
+def test_append_many_checks_every_key_before_writing(tmp_path):
+    db = RunDB.open(tmp_path / "run")
+    with pytest.raises(ValueError):
+        db.append_many([_rec("k1", 1), {"status": DONE}])
+    assert not db.units_path.exists() and db.records == {}
+
+
 def test_meta_written_atomically(tmp_path):
     db = RunDB.open(tmp_path / "run")
     db.bind(_spec())

@@ -230,6 +230,30 @@ def test_curvature_workspaces_pruned_on_row_count_change():
         assert len(kfac._curv_workspaces) == 1
 
 
+@pytest.mark.parametrize("stat_decay", [0.0, 0.95])
+def test_factors_are_exactly_symmetric(stat_decay):
+    """The batched inversion factors each factor's transpose in place
+    (see ``kfac/inverse.py``), which is the factor itself only when the
+    factor is exactly symmetric: on the grouped path (same-shape
+    layers), on the lone-layer path, and through the EMA blend."""
+    rng = np.random.default_rng(19)
+    group = [Linear(48, 40, rng=np.random.default_rng(i)) for i in range(3)]
+    lone = Linear(40, 24, rng=np.random.default_rng(9))
+    layers = group + [lone]
+    inner = SGD([p for l in layers for p in l.parameters()], lr=0.1)
+    kfac = KFAC([(f"l{i}", l) for i, l in enumerate(layers)], inner,
+                stat_decay=stat_decay)
+    for _ in range(3):
+        for l in layers:
+            l.captured_inputs = rand_batches(rng, [37, 29], l.in_features)
+            l.captured_output_grads = rand_batches(
+                rng, [37, 29], l.out_features, scale=0.1)
+        kfac.update_curvature()
+        for _, state in kfac.layers:
+            for factor in (state.a_factor.value, state.b_factor.value):
+                assert np.array_equal(factor, factor.T)
+
+
 # -- inversion ------------------------------------------------------------------
 
 

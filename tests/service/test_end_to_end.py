@@ -41,7 +41,8 @@ def _assert_bit_identical(service_units, campaign_values):
             canonical_json(campaign_values[unit["key"]]), unit["key"]
 
 
-#: A simulator grid: its units run through ``engine.run``.
+#: A simulator grid over two structures: the service evaluates each
+#: structure's units in one ``engine.run_group`` pass.
 PIPEFISHER_BODY = {
     "kind": "pipefisher",
     "fixed": {"arch": "BERT-Base", "hardware": "P100", "schedule": "1f1b",
@@ -49,15 +50,25 @@ PIPEFISHER_BODY = {
     "grid": {"depth": [4, 8], "b_micro": [8, 16]},
 }
 
+#: The ``plan_cold`` shape: hardware x b_micro over one structure.
+PIPEFISHER_6_BODY = {
+    "kind": "pipefisher",
+    "fixed": {"arch": "BERT-Large", "schedule": "chimera", "depth": 8,
+              "n_micro_factor": 2, "layers_per_stage": 2},
+    "grid": {"hardware": ["P100", "RTX3090", "V100"], "b_micro": [4, 8]},
+}
 
-@pytest.mark.parametrize("body", [GRID_BODY, PIPEFISHER_BODY],
-                         ids=["perf_report", "pipefisher"])
-def test_inline_sweep_matches_campaign_runner(body):
-    """Both paths execute each unit through ``execute_unit``; the
-    served record and the run-DB record carry equal values."""
+
+@pytest.mark.parametrize("body,n", [(GRID_BODY, 4), (PIPEFISHER_BODY, 4),
+                                    (PIPEFISHER_6_BODY, 6)],
+                         ids=["perf_report", "pipefisher", "pipefisher-6"])
+def test_inline_sweep_matches_campaign_runner(body, n):
+    """The service executes a request's misses as one group, the runner
+    one unit at a time; the served record and the run-DB record carry
+    equal values."""
     svc = PlanningService(engine=SweepEngine())
     out = svc.sweep(dict(body))
-    assert out["mode"] == "inline" and out["executed"] == 4
+    assert out["mode"] == "inline" and out["executed"] == n
     spec = spec_from_request(sweep_request(dict(body)))
     _assert_bit_identical(out["units"], _campaign_values(spec))
 

@@ -26,8 +26,10 @@ The other works are flop-bound on single-threaded OpenBLAS, so their
 wins are bounded by arithmetic, not loop overhead: inversion gains
 ~2-3x from float32 ``spotrf``/``spotri`` (half the FLOPs of the seed's
 ``cho_solve``-against-identity, at float32 rates), preconditioning is
-gemm-bound in both implementations (asserted only not to regress), and
-the cached block-diagonal solves stop paying the per-solve factorization.
+gemm-bound (``KFAC.precondition`` is the per-layer
+``KFACLayerState.precondition`` loop, asserted only to keep parity with
+the seed loop), and the cached block-diagonal solves stop paying the
+per-solve factorization.
 All results must match the seed within the tolerances documented in
 ``tests/kfac/test_batched_equivalence.py``.
 """
@@ -262,12 +264,13 @@ def test_inversion_grouping():
 
 
 def test_precondition_stacking():
-    """Stacked-matmul preconditioning must not regress the seed loop.
+    """``KFAC.precondition`` must keep parity with the seed loop.
 
-    Both implementations are gemm-bound (the two B^{-1} G A^{-1} products
-    dominate at any width), so this asserts parity, not a speedup: the
-    batched path's gain is the removed per-layer concat/astype copies,
-    which is within noise at these sizes.
+    Both are per-layer loops and gemm-bound (the two B^{-1} G A^{-1}
+    products dominate at any width), so this asserts parity, not a
+    speedup: the current loop only drops the seed's concat/astype copies,
+    which is within noise at these sizes.  The ``precondition_batched_ms``
+    key keeps its name for the BENCH history.
     """
     rng = np.random.default_rng(2)
     shapes = stack_shapes(width_scale=4)
@@ -310,10 +313,10 @@ def test_precondition_stacking():
                                    atol=1e-6)
 
     ratio = seed_s / new_s
-    print(f"\nprecondition, {len(shapes)} layers: stacked {new_s * 1e3:.1f}ms "
+    print(f"\nprecondition, {len(shapes)} layers: per-layer {new_s * 1e3:.1f}ms "
           f"vs seed loop {seed_s * 1e3:.1f}ms per step ({ratio:.2f}x)")
     assert ratio >= 0.6, (
-        f"stacked preconditioning regressed the seed loop: {ratio:.2f}x"
+        f"KFAC.precondition regressed the seed loop: {ratio:.2f}x"
     )
     _BENCH_RESULTS["precondition_seed_ms"] = round(seed_s * 1e3, 2)
     _BENCH_RESULTS["precondition_batched_ms"] = round(new_s * 1e3, 2)

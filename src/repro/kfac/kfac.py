@@ -16,8 +16,8 @@ the vocabulary classification head (``max_dout`` filters it out when the
 head is expressed as a Linear); the inner optimizer updates every
 parameter, preconditioned or not.
 
-The three works run as *batched* kernels over layer groups rather than
-per-layer Python loops:
+Curvature and inversion run as *batched* kernels over layer groups
+rather than per-layer Python loops; preconditioning runs per layer:
 
 * **curvature** — layers sharing ``(d_in, d_out, bias)`` (all of BERT's
   per-block linears, across blocks) are stacked ``(L, N, d)`` and their
@@ -26,9 +26,10 @@ per-layer Python loops:
 * **inversion** — factors are grouped by dimension and inverted as one
   float32 Cholesky batch per group, with the Martens-Grosse pi split
   computed vectorially from stacked traces.
-* **precondition** — ``B^{-1} G A^{-1}`` is applied per group as two
-  stacked matmuls over a ``(L, d_out, d_in+1)`` gradient tensor, and the
-  natural gradients are written back through views of the result.
+* **precondition** — each ready layer's :meth:`KFACLayerState.precondition`
+  applies ``B^{-1} G A^{-1}`` with the inverses the state holds, fresh or
+  stale. The two gemms are the whole cost, so stacking layers gains
+  nothing (``BENCH_kfac.json`` ``precondition_ratio``).
 """
 
 from __future__ import annotations
@@ -116,9 +117,6 @@ class KFAC:
         self.skipped_layers = skipped
         if not self.layers:
             raise ValueError("no layers eligible for K-FAC")
-        #: Cached (indices, a_inv stack, b_inv stack) precondition groups;
-        #: rebuilt lazily after each inverse refresh.
-        self._precond_groups: list[tuple[list[int], np.ndarray, np.ndarray]] | None = None
         #: Reusable per-group curvature workspaces (row stacks + factor
         #: output buffers), keyed by group signature. Only kept when
         #: stat_decay == 0: there the previous refresh's factor values are
@@ -219,63 +217,21 @@ class KFAC:
         inverses = batched_pair_inverses(pairs, self.damping, use_pi=self.use_pi)
         for (_, state), (a_inv, b_inv) in zip(self.layers, inverses):
             state.install_inverses(a_inv, b_inv)
-        self._precond_groups = None
-
-    def _build_precond_groups(self) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
-        """Stack the inverses of ready same-shape layers, once per refresh."""
-        by_shape: dict[tuple[int, int, bool], list[int]] = {}
-        for i, (layer, state) in enumerate(self.layers):
-            if not state.ready:
-                continue  # paper §3.1: fall back to raw gradient until the
-                # first inverses exist; afterwards stale inverses are used.
-            by_shape.setdefault(
-                (state.din, state.dout, state.include_bias), []
-            ).append(i)
-        return [
-            (
-                idxs,
-                np.stack([self.layers[i][1].a_inv for i in idxs]),
-                np.stack([self.layers[i][1].b_inv for i in idxs]),
-            )
-            for idxs in by_shape.values()
-        ]
 
     def precondition(self) -> None:
         """Precondition work: grad <- B^{-1} G A^{-1} in place, where ready.
 
-        Each same-shape group is preconditioned by two stacked matmuls over
-        a ``(L, d_out, d_in+1)`` gradient tensor (bias gradients folded in
-        as the homogeneous column); the new weight/bias gradients are views
-        into the result.
+        A layer without inverses keeps its raw gradient (paper §3.1: until
+        the first inverses exist); afterwards the state's inverses are used,
+        whichever code installed them.
         """
-        if self._precond_groups is None:
-            self._precond_groups = self._build_precond_groups()
-        for idxs, a_stack, b_stack in self._precond_groups:
-            live = [i for i in idxs if self.layers[i][0].weight.grad is not None]
-            if not live:
+        for layer, state in self.layers:
+            if not state.ready or layer.weight.grad is None:
                 continue
-            if len(live) != len(idxs):
-                live_set = set(live)
-                sel = [j for j, i in enumerate(idxs) if i in live_set]
-                a_stack = a_stack[sel]
-                b_stack = b_stack[sel]
-            _, state0 = self.layers[live[0]]
-            din, dout = state0.din, state0.dout
-            include_bias = state0.include_bias
-            a_dim = din + (1 if include_bias else 0)
-            grads = np.empty((len(live), dout, a_dim), dtype=np.float32)
-            for j, i in enumerate(live):
-                layer, _ = self.layers[i]
-                grads[j, :, :din] = layer.weight.grad
-                if include_bias:
-                    bias_grad = layer.bias.grad if layer.bias is not None else None
-                    grads[j, :, din] = 0.0 if bias_grad is None else bias_grad
-            nat = np.matmul(np.matmul(b_stack, grads), a_stack)
-            for j, i in enumerate(live):
-                layer, _ = self.layers[i]
-                layer.weight.grad = nat[j, :, :din]
-                if include_bias and layer.bias is not None and layer.bias.grad is not None:
-                    layer.bias.grad = nat[j, :, din]
+            bias_grad = layer.bias.grad if layer.bias is not None else None
+            layer.weight.grad, nat_bias = state.precondition(layer.weight.grad, bias_grad)
+            if nat_bias is not None:
+                layer.bias.grad = nat_bias
 
     # -- main entry point ------------------------------------------------------------
 

@@ -103,8 +103,10 @@ class KFACLayerState:
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Apply ``B^{-1} G A^{-1}`` to a (dout, din) weight gradient.
 
-        When ``include_bias`` the bias gradient is folded in as the last
-        column of the homogeneous-coordinate gradient matrix.
+        The gradient is copied into one float32 homogeneous-coordinate
+        buffer; when ``include_bias`` its last column is the bias gradient,
+        or zero when there is none (the bias result is then ``None``). The
+        float32 results are views into the product.
         """
         if not self.ready:
             raise RuntimeError(f"layer {self.name}: precondition before any inversion")
@@ -113,11 +115,10 @@ class KFACLayerState:
                 f"layer {self.name}: grad shape {weight_grad.shape} != "
                 f"({self.dout}, {self.din})"
             )
-        if self.include_bias and bias_grad is not None:
-            g = np.concatenate([weight_grad, bias_grad.reshape(-1, 1)], axis=1)
-        else:
-            g = weight_grad
+        g = np.empty((self.dout, self.a_inv.shape[0]), dtype=np.float32)
+        g[:, :self.din] = weight_grad
+        if not self.include_bias:
+            return self.b_inv @ g @ self.a_inv, bias_grad
+        g[:, self.din] = 0.0 if bias_grad is None else bias_grad
         nat = self.b_inv @ g @ self.a_inv
-        if self.include_bias and bias_grad is not None:
-            return nat[:, :-1].astype(np.float32), nat[:, -1].astype(np.float32)
-        return nat.astype(np.float32), bias_grad
+        return nat[:, :self.din], None if bias_grad is None else nat[:, self.din]

@@ -526,6 +526,13 @@ _INDEX = {
 }
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    # Listen backlog: the stdlib default of 5 overflows when a few clients
+    # open fresh connections at once (urllib opens one per request); the
+    # kernel then drops the SYN and the client resends it ~1 s later.
+    request_queue_size = 64
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP to the bound :class:`PlanningService`."""
 
@@ -696,7 +703,7 @@ class ServiceServer:
                  port: int = 0) -> None:
         self.service = service
         handler = type("BoundHandler", (_Handler,), {"service": service})
-        self.httpd = ThreadingHTTPServer((host, port), handler)
+        self.httpd = _HTTPServer((host, port), handler)
         self.httpd.daemon_threads = True
         self.host, self.port = self.httpd.server_address[:2]
         self.url = f"http://{self.host}:{self.port}"

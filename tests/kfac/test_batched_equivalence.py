@@ -98,7 +98,6 @@ class SeedKFAC(KFAC):
     def update_inverses(self):
         for _, state in self.layers:
             seed_update_inverses(state, self.damping, use_pi=self.use_pi)
-        self._precond_groups = None
 
     def precondition(self):
         for layer, state in self.layers:
@@ -309,7 +308,7 @@ def test_batched_precondition_matches_seed(use_pi):
             layer.bias.grad = bg.copy()
             grads[name] = (wg, bg)
     # Both sides precondition through IDENTICAL (seed fp64) inverses, so
-    # this isolates the stacked-matmul application and view writeback.
+    # this isolates the float32-buffer application and view writeback.
     kfac_new.precondition()
     kfac_seed.precondition()
     for (l_new, _), (l_seed, _) in zip(kfac_new.layers, kfac_seed.layers):

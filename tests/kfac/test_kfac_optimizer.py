@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kfac import KFAC
+from repro.kfac import KFAC, CPUOffloadKFAC, DataInversionParallelKFAC
 from repro.nn import Linear, Module
 from repro.optim import SGD
 from repro.tensor import Tensor, functional as F
@@ -156,3 +156,73 @@ class TestStep:
         loss_fn(model, x, y).backward()
         # Call precondition directly before any inversion: no-op, no error.
         kfac.precondition()
+
+
+def _install_by_offload(kfac):
+    offload = CPUOffloadKFAC([s for _, s in kfac.layers], lag=0, damping=0.3)
+    offload.submit_factors()
+    assert offload.poll_inverses()
+
+
+def _install_by_inversion_parallel(kfac):
+    DataInversionParallelKFAC([s for _, s in kfac.layers], num_workers=2,
+                              damping=0.3).inversion_step()
+
+
+def _install_by_layer_state(kfac):
+    for _, state in kfac.layers:
+        state.update_inverses(0.3)
+
+
+class TestPrecondition:
+    def _raw_grads(self, kfac, seed):
+        rng = np.random.default_rng(seed)
+        grads = []
+        for layer, state in kfac.layers:
+            wg = rng.standard_normal((state.dout, state.din)).astype(np.float32)
+            bg = rng.standard_normal(state.dout).astype(np.float32)
+            layer.weight.grad, layer.bias.grad = wg.copy(), bg.copy()
+            grads.append((wg, bg))
+        return grads
+
+    @pytest.mark.parametrize("install", [
+        _install_by_offload, _install_by_inversion_parallel,
+        _install_by_layer_state,
+    ], ids=["cpu-offload", "inversion-parallel", "layer-state"])
+    def test_uses_inverses_installed_by_other_code(self, install):
+        """Whoever installs a layer's inverses, the next precondition()
+        applies them, not those of an earlier call."""
+        model = TwoLayer()
+        kfac = make_kfac(model)
+        x, y = data()
+        loss_fn(model, x, y).backward()
+        kfac.update_curvature()
+        kfac.update_inverses()
+        self._raw_grads(kfac, seed=1)
+        kfac.precondition()
+        old = [state.a_inv for _, state in kfac.layers]
+
+        install(kfac)
+        assert not any(np.array_equal(state.a_inv, a)
+                       for (_, state), a in zip(kfac.layers, old))
+        grads = self._raw_grads(kfac, seed=2)
+        kfac.precondition()
+        for (layer, state), (wg, bg) in zip(kfac.layers, grads):
+            want_w, want_b = state.precondition(wg, bg)
+            np.testing.assert_array_equal(layer.weight.grad, want_w)
+            np.testing.assert_array_equal(layer.bias.grad, want_b)
+
+    def test_missing_bias_grad_stays_none(self):
+        model = TwoLayer()
+        kfac = make_kfac(model)
+        x, y = data()
+        loss_fn(model, x, y).backward()
+        kfac.update_curvature()
+        kfac.update_inverses()
+        grads = self._raw_grads(kfac, seed=3)
+        model.fc1.bias.grad = None
+        kfac.precondition()
+        assert model.fc1.bias.grad is None
+        (_, state), (wg, _) = kfac.layers[0], grads[0]
+        want_w, _ = state.precondition(wg, np.zeros(state.dout, np.float32))
+        np.testing.assert_array_equal(model.fc1.weight.grad, want_w)

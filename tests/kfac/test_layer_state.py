@@ -121,6 +121,31 @@ class TestPrecondition:
         assert nat_b.shape == (2,)
         assert not np.allclose(nat_b, b)
 
+    def test_missing_bias_grad_uses_zero_homogeneous_column(self):
+        """A bias layer whose bias has no gradient preconditions the weight
+        gradient with a zero bias column and returns no bias result."""
+        s = make_state(include_bias=True)
+        feed(s, n=64)
+        s.update_inverses(0.01)
+        w = np.random.default_rng(6).standard_normal((2, 3)).astype(np.float32)
+        nat_w, nat_b = s.precondition(w)
+        assert nat_b is None
+        expected, _ = s.precondition(w, np.zeros(2, dtype=np.float32))
+        np.testing.assert_array_equal(nat_w, expected)
+
+    def test_float64_grad_gives_float32_result(self):
+        s = make_state(include_bias=True)
+        feed(s, n=64)
+        s.update_inverses(0.01)
+        rng = np.random.default_rng(7)
+        w = rng.standard_normal((2, 3))
+        b = rng.standard_normal(2)
+        nat_w, nat_b = s.precondition(w, b)
+        assert nat_w.dtype == np.float32 and nat_b.dtype == np.float32
+        ref_w, ref_b = s.precondition(w.astype(np.float32), b.astype(np.float32))
+        np.testing.assert_array_equal(nat_w, ref_w)
+        np.testing.assert_array_equal(nat_b, ref_b)
+
     def test_precondition_before_inverse_raises(self):
         s = make_state()
         feed(s)

@@ -10,8 +10,10 @@ import http.client
 import json
 import socket
 import statistics
+import threading
 import urllib.parse
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 import pytest
@@ -377,6 +379,32 @@ class TestKeepAlive:
         finally:
             conn.close()
         assert statistics.median(times) <= 0.020
+
+
+class TestConnectionBurst:
+    def test_burst_of_fresh_connections_is_not_dropped(self, live):
+        """8 clients each opening a fresh connection at once overflowed
+        the stdlib listen backlog of 5: the kernel dropped SYNs and those
+        clients waited ~1 s to resend them."""
+        threads, rounds = 8, 5
+        grid, fixed = {"depth": [4], "b_micro": [8]}, dict(FIXED)
+        live.sweep(grid, fixed=fixed)  # warm: the burst is store hits
+        barrier = threading.Barrier(threads, timeout=10)
+
+        def client(_):
+            times = []
+            for _ in range(rounds):
+                barrier.wait()
+                started = perf_counter()
+                live.sweep(grid, fixed=fixed)
+                times.append(perf_counter() - started)
+            return times
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            times = [t for ts in pool.map(client, range(threads)) for t in ts]
+        assert len(times) == threads * rounds
+        slow = [round(t, 3) for t in times if t > 0.5]
+        assert not slow, f"requests over 0.5 s: {slow}"
 
 
 class TestMetrics:

@@ -39,7 +39,7 @@ from repro.perfmodel.calibration import host_overhead
 from repro.perfmodel.costs import compute_stage_costs
 from repro.perfmodel.hardware import HARDWARE
 from repro.pipefisher.assignment import BubbleFiller
-from repro.pipefisher.runner import PipeFisherRun, clear_stage_costs_memo
+from repro.pipefisher.runner import PipeFisherRun
 from repro.pipefisher.workqueue import build_device_queues
 from repro.pipeline.comm import CommModel
 from repro.pipeline.executor import simulate_tasks
@@ -142,10 +142,8 @@ def assert_identical(points, ref, got):
 def test_sweep_engine_vs_per_point_loop(once, benchmark):
     """Cold >= 5x, steady-state (re-timing only) >= 50x, bit-identical."""
     # Both sides start cold: the frozen loop gets a fresh local memo per
-    # repetition, the engine is rebuilt per repetition, and the runner's
-    # process-wide memo is emptied so nothing warmed by earlier tests
-    # can leak into either timing.
-    clear_stage_costs_memo()
+    # repetition and the engine is rebuilt per repetition, so nothing
+    # warmed by earlier tests can leak into either timing.
     points = list(sweep_points())
 
     seed_s = cold_s = steady_s = float("inf")

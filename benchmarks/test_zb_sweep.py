@@ -3,8 +3,8 @@
 The baseline frozen below is the pre-engine evaluation of the zero-bubble
 grid: for every (B_micro, depth) point, both schedules' task graphs are
 built, simulated, inventoried and bubble-filled from scratch through
-``PipeFisherRun.execute()`` (with the runner's stage-cost memo, the PR 3
-state of the loop).  The engine path canonicalizes the same grid onto
+``PipeFisherRun.execute()``, which also computes each point's stage
+costs afresh.  The engine path canonicalizes the same grid onto
 compiled schedule templates — one per (schedule, depth) — and re-times
 each point.  Every report is asserted **bit-identical** before any
 speedup is asserted, and the zero-bubble claims are re-checked as
@@ -23,7 +23,7 @@ from repro.experiments.zb import (
     format_zb_sweep,
     run_zb_sweep,
 )
-from repro.pipefisher.runner import PipeFisherRun, clear_stage_costs_memo
+from repro.pipefisher.runner import PipeFisherRun
 from repro.perfmodel.arch import ARCHITECTURES
 from repro.perfmodel.hardware import P100
 from repro.sweep import SweepEngine
@@ -54,7 +54,6 @@ def point_numbers(report):
 
 def frozen_loop():
     """The per-point loop: every point re-derives all structure."""
-    clear_stage_costs_memo()
     return {key: point_numbers(run.execute()) for key, run in grid_points()}
 
 

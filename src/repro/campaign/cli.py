@@ -62,18 +62,16 @@ def _cmd_run(args) -> int:
             return 2
     runner = CampaignRunner(run_dir=args.run_dir)
 
-    def progress(unit, record):
+    def progress(unit, record, reused):
         if args.verbose:
             status = record.get("status", "?")
-            src = "db" if record["key"] in result_reused else "run"
+            src = "db" if reused else "run"
             print(f"  [{src}] {unit.kind} {record['key']} {status} "
                   f"({record.get('elapsed_s', 0.0):.3f}s)")
 
-    result_reused: set = set()
     result = runner.run(entry.spec, shard=shard,
                         resume=not args.no_resume, on_unit=progress,
                         jobs=args.jobs)
-    result_reused.update(result.reused)
     s = result.summary()
     total = len(entry.spec.units())
     print(f"campaign {args.name}: executed {s['executed']}, "

@@ -146,11 +146,12 @@ class CampaignRunner:
     ) -> CampaignResult:
         """Run (or resume) ``spec``, returning the completed state.
 
-        ``on_unit(unit, record)`` is called after each unit completes or
-        is reused — the CLI uses it for progress lines; tests use it as
-        an execution spy.  Exceptions raised by a unit executor are
-        recorded as ``failed`` in the run DB (so an interrupted campaign
-        shows where it stopped) and re-raised.
+        ``on_unit(unit, record, reused)`` is called after each unit
+        completes (``reused=False``) or is reused from the run DB
+        (``reused=True``); the CLI uses it for progress lines.
+        Exceptions raised by a unit executor are recorded as ``failed``
+        in the run DB (so an interrupted campaign shows where it stopped)
+        and re-raised.
 
         ``jobs=N`` (persistent mode only) splits the campaign into N
         round-robin shards, runs each in a worker process against its
@@ -185,7 +186,7 @@ class CampaignRunner:
                     result.objects[key] = None
                     result.reused.append(key)
                     if on_unit is not None:
-                        on_unit(unit, prior)
+                        on_unit(unit, prior, True)
                     continue
             started = time.perf_counter()
             try:
@@ -212,7 +213,7 @@ class CampaignRunner:
             result.objects[key] = obj
             result.executed.append(key)
             if on_unit is not None:
-                on_unit(unit, record)
+                on_unit(unit, record, False)
 
         result.elapsed_s = time.perf_counter() - t0
         result.engine_delta = _counter_delta(
@@ -260,12 +261,18 @@ class CampaignRunner:
             outcomes = [f.result() for f in futures]
         merge_run_dbs([str(wd) for wd in worker_dirs], str(parent))
 
-        # Serial resume over the merged DB: every unit is now done, so
-        # this pass only assembles records (and fires on_unit) in
-        # canonical order without re-executing anything.
-        result = self.run(spec, resume=True, on_unit=on_unit)
         executed = [key for keys, _ in outcomes for key in keys]
         executed_set = set(executed)
+
+        def replayed(unit, record, reused):
+            on_unit(unit, record, record["key"] not in executed_set)
+
+        # Serial resume over the merged DB: every unit is now done, so
+        # this pass only assembles records (and fires on_unit, flagging
+        # the units the workers ran as executed) in canonical order
+        # without re-executing anything.
+        result = self.run(spec, resume=True,
+                          on_unit=replayed if on_unit is not None else None)
         result.executed = executed
         result.reused = [k for k in result.reused if k not in executed_set]
         delta = dict(result.engine_delta)

@@ -22,7 +22,6 @@ from repro.kfac.factors import (
 from repro.kfac.inverse import (
     batched_damped_cholesky_inverse,
     batched_pair_inverses,
-    batched_pi_damping,
     damped_cholesky_inverse,
     pi_damping,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "damped_cholesky_inverse",
     "batched_damped_cholesky_inverse",
     "pi_damping",
-    "batched_pi_damping",
     "batched_pair_inverses",
     "BlockDiagonalFactor",
     "block_diag_inversion_flops",

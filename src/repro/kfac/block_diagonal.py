@@ -15,8 +15,12 @@ A.2 invariance test checks.
 
 Uniform-size blocks (the common ``dim % K == 0`` case) are updated as one
 ``(K, d/K, d/K)`` batched matmul.  Every block inverts through the
-float64 :func:`~repro.kfac.inverse.damped_cholesky_inverse`, and inverse
-blocks are cached per damping value:
+float64 :func:`~repro.kfac.inverse.damped_cholesky_inverse`, not the
+float32 batch the K-FAC drivers run: the cached solves are checked
+against per-solve float64 re-factorization at ``rtol=2e-3, atol=1e-5``
+(``benchmarks/test_kfac_scaling.py``), and the float32 batch misses
+that bound (at d=3072, K=8 and 512 rows, one of 2.36M entries, by
+5.4e-7).  Inverse blocks are cached per damping value:
 :meth:`BlockDiagonalFactor.solve_right`/``solve_left`` factorize once per
 (factor refresh, damping) instead of on every solve — the steady-state
 preconditioning loop between curvature refreshes pays only the block

@@ -3,8 +3,12 @@
 These are the prior-art execution strategies PipeFisher is compared
 against.  We run them on one process but faithfully reproduce their
 *dataflow* — sharding, collective averaging, per-worker layer assignment,
-and inverse staleness — so tests can verify numerical equivalence with
-serial K-FAC and benchmarks can model their costs.
+and inverse staleness — so benchmarks can model their costs.  The
+arithmetic is serial K-FAC's own: factors are formed by
+:meth:`KFACLayerState.update_curvature` and inverted by
+:func:`~repro.kfac.inverse.batched_pair_inverses`, the kernels
+:class:`~repro.kfac.kfac.KFAC` runs, so for equal factors the emulated
+schemes install inverses bit-identical to serial K-FAC's.
 
 * :class:`DataInversionParallelKFAC` — Osawa et al. (2019): every worker
   computes curvature for its micro-batch shard, factors are allreduce-
@@ -21,7 +25,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.kfac.factors import compute_factor_from_rows
 from repro.kfac.inverse import batched_pair_inverses
 from repro.kfac.layer import KFACLayerState
 
@@ -84,28 +87,19 @@ class DataInversionParallelKFAC:
             raise ValueError(
                 f"expected {self.num_workers} worker shards, got {len(worker_inputs)}"
             )
+        workers = range(self.num_workers)
         bytes_moved = 0
         for l, state in enumerate(self.states):
-            a_dim = state.din + (1 if state.include_bias else 0)
             # The allreduce's row-weighted average of per-worker factors is
             # the factor of the concatenated worker rows: sum_w n_w * (1/n_w)
-            # rows_w^T rows_w / total = concat^T concat / total. One matmul
-            # per factor instead of a per-worker float64 accumulation.
-            rows_in = np.concatenate(
-                [worker_inputs[w][l] for w in range(self.num_workers)], axis=0
+            # rows_w^T rows_w / total = concat^T concat / total, which is
+            # what update_curvature forms from the workers' rows.
+            state.update_curvature(
+                [worker_inputs[w][l] for w in workers],
+                [worker_grads[w][l] * np.float32(loss_scales[w][l]) for w in workers],
+                loss_scale=1.0,
             )
-            rows_g = np.concatenate(
-                [
-                    worker_grads[w][l] * np.float32(loss_scales[w][l])
-                    for w in range(self.num_workers)
-                ],
-                axis=0,
-            )
-            state.a_factor.update(
-                compute_factor_from_rows(rows_in, include_bias=state.include_bias)
-            )
-            state.b_factor.update(compute_factor_from_rows(rows_g))
-            bytes_moved += 4 * (a_dim * a_dim + state.dout * state.dout)
+            bytes_moved += 4 * (state.a_factor.dim ** 2 + state.b_factor.dim ** 2)
         self.last_allreduce_bytes = bytes_moved * (self.num_workers - 1)
 
     def inversion_step(self) -> dict[int, list[int]]:
@@ -162,7 +156,6 @@ class CPUOffloadKFAC:
         snapshot = self._queue.popleft()
         inverses = batched_pair_inverses(snapshot, self.damping, use_pi=self.use_pi)
         for state, (a_inv, b_inv) in zip(self.states, inverses):
-            state.a_inv = a_inv
-            state.b_inv = b_inv
+            state.install_inverses(a_inv, b_inv)
             state.inverse_staleness = self.lag
         return True

@@ -4,7 +4,17 @@ Each Kronecker factor is symmetric PSD, so the paper inverts via Cholesky:
 ``torch.linalg.cholesky`` + ``cholesky_inverse``.  The per-matrix reference
 (:func:`damped_cholesky_inverse`) uses SciPy's ``cho_factor``/``cho_solve``
 against the identity in float64, with Tikhonov damping to guarantee
-positive definiteness.
+positive definiteness.  It is the reference the tests compare against,
+the fallback for a batch row whose float32 factorization fails, and the
+block inverse of :class:`~repro.kfac.block_diagonal.BlockDiagonalFactor`;
+no K-FAC driver calls it directly.
+
+Every K-FAC driver inverts through :func:`batched_pair_inverses`:
+:class:`~repro.kfac.kfac.KFAC` for the whole model,
+:meth:`~repro.kfac.layer.KFACLayerState.update_inverses` (and so the
+data+inversion-parallel emulation) for one layer, and the CPU-offload
+emulation for a factor snapshot.  A layer therefore gets bit-identical
+inverses whichever driver inverts it.
 
 The batched path (:func:`batched_damped_cholesky_inverse`) inverts a
 ``(L, d, d)`` stack of same-dimension factors in float32 through LAPACK's
@@ -42,8 +52,8 @@ Damping follows Martens & Grosse (2015) §6.2: with overall damping
 ``lambda``, the factors receive ``pi * sqrt(lambda)`` and
 ``sqrt(lambda) / pi`` respectively, where
 ``pi = sqrt((trace(A)/dim_A) / (trace(B)/dim_B))`` balances the two.
-:func:`batched_pi_damping` computes the split for a whole layer group from
-stacked traces in one pass.
+:func:`pi_damping` is the one implementation of the split, with traces
+summed in float64.
 """
 
 from __future__ import annotations
@@ -157,46 +167,15 @@ def pi_damping(a: np.ndarray, b: np.ndarray, damping: float) -> tuple[float, flo
 
     Returns ``(damping_A, damping_B)`` with
     ``damping_A * damping_B = damping`` and the ratio set by the average
-    trace of each factor.
+    trace of each factor.  Traces are summed in float64; a non-positive
+    average trace falls back to the symmetric ``sqrt(lambda)`` split.
     """
-    tr_a = float(np.trace(a)) / a.shape[0]
-    tr_b = float(np.trace(b)) / b.shape[0]
+    tr_a = float(np.trace(a, dtype=np.float64)) / a.shape[0]
+    tr_b = float(np.trace(b, dtype=np.float64)) / b.shape[0]
+    root = float(np.sqrt(damping))
     if tr_a <= 0 or tr_b <= 0:
-        root = float(np.sqrt(damping))
         return root, root
     pi = float(np.sqrt(tr_a / tr_b))
-    root = float(np.sqrt(damping))
-    return root * pi, root / pi
-
-
-def batched_pi_damping(
-    a_traces: np.ndarray,
-    a_dims: np.ndarray | int,
-    b_traces: np.ndarray,
-    b_dims: np.ndarray | int,
-    damping: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`pi_damping` over per-layer stacked factor traces.
-
-    Parameters
-    ----------
-    a_traces, b_traces:
-        ``(L,)`` traces of each layer's A and B factor (from
-        ``np.trace(stack, axis1=1, axis2=2)`` on the grouped stacks).
-    a_dims, b_dims:
-        Factor side lengths, scalar or ``(L,)``.
-    damping:
-        Overall damping ``lambda``.
-
-    Returns ``(damping_A, damping_B)`` arrays; layers whose average trace
-    is non-positive fall back to the symmetric ``sqrt(lambda)`` split,
-    matching the per-layer reference.
-    """
-    tr_a = np.asarray(a_traces, dtype=np.float64) / np.asarray(a_dims)
-    tr_b = np.asarray(b_traces, dtype=np.float64) / np.asarray(b_dims)
-    root = float(np.sqrt(damping))
-    ok = (tr_a > 0) & (tr_b > 0)
-    pi = np.sqrt(np.where(ok, tr_a / np.where(tr_b > 0, tr_b, 1.0), 1.0))
     return root * pi, root / pi
 
 
@@ -207,49 +186,28 @@ def batched_pair_inverses(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Invert per-layer ``(A, B)`` factor pairs, grouped by dimension.
 
-    The inversion work for a whole model: pi-split dampings are computed
-    vectorially from stacked traces, then every distinct factor dimension
-    is inverted as one float32 Cholesky batch.  Returns ``(a_inv, b_inv)``
-    float32 pairs in input order.
+    The inversion work for a whole model, and the one inversion every
+    K-FAC driver runs: each layer's damping is split by
+    :func:`pi_damping`, then every distinct factor dimension is inverted
+    as one float32 Cholesky batch.  Returns ``(a_inv, b_inv)`` float32
+    pairs in input order.
     """
-    n = len(pairs)
-    if n == 0:
-        return []
-    # Group factor matrices (either side) by dimension.
-    dim_groups: dict[int, list[tuple[int, int]]] = {}
+    root = float(np.sqrt(damping))
+    # Group factor matrices (either side) by dimension, with their damping.
+    dim_groups: dict[int, list[tuple[int, int, float]]] = {}
     for i, (a, b) in enumerate(pairs):
-        dim_groups.setdefault(a.shape[0], []).append((i, 0))
-        dim_groups.setdefault(b.shape[0], []).append((i, 1))
+        damp = pi_damping(a, b, damping) if use_pi else (root, root)
+        for side, mat in enumerate((a, b)):
+            dim_groups.setdefault(mat.shape[0], []).append((i, side, damp[side]))
 
-    stacks = {
-        dim: np.stack([pairs[i][side] for i, side in members])
-        for dim, members in dim_groups.items()
-    }
-    if use_pi:
-        tr_a = np.empty(n)
-        tr_b = np.empty(n)
-        for dim, members in dim_groups.items():
-            traces = np.trace(stacks[dim], axis1=1, axis2=2, dtype=np.float64)
-            for (i, side), t in zip(members, traces):
-                (tr_a if side == 0 else tr_b)[i] = t
-        a_dims = np.array([a.shape[0] for a, _ in pairs])
-        b_dims = np.array([b.shape[0] for _, b in pairs])
-        damp_a, damp_b = batched_pi_damping(tr_a, a_dims, tr_b, b_dims, damping)
-    else:
-        root = float(np.sqrt(damping))
-        damp_a = np.full(n, root)
-        damp_b = np.full(n, root)
-
-    out: list[list[np.ndarray | None]] = [[None, None] for _ in range(n)]
-    for dim, members in dim_groups.items():
-        damp = np.array(
-            [(damp_a if side == 0 else damp_b)[i] for i, side in members]
-        )
+    out: list[list[np.ndarray | None]] = [[None, None] for _ in pairs]
+    for members in dim_groups.values():
+        mats = [pairs[i][side] for i, side, _ in members]
         # The stack is this function's own copy, already float32 for
         # K-FAC's factors: the inversion damps it in place, no second copy.
         inv_stack = _invert_owned_stack(
-            np.asarray(stacks[dim], dtype=np.float32), damp,
-            [pairs[i][side] for i, side in members])
-        for j, (i, side) in enumerate(members):
-            out[i][side] = inv_stack[j]
+            np.asarray(np.stack(mats), dtype=np.float32),
+            np.array([d for _, _, d in members]), mats)
+        for (i, side, _), inv in zip(members, inv_stack):
+            out[i][side] = inv
     return [(a, b) for a, b in out]  # type: ignore[misc]

@@ -24,8 +24,9 @@ rather than per-layer Python loops; preconditioning runs per layer:
   factors formed by one batched matmul each; a lone layer still gets a
   single concatenated ``rows.T @ rows``.
 * **inversion** — factors are grouped by dimension and inverted as one
-  float32 Cholesky batch per group, with the Martens-Grosse pi split
-  computed vectorially from stacked traces.
+  float32 Cholesky batch per group, each layer's damping split by the
+  Martens-Grosse pi rule (:func:`~repro.kfac.inverse.batched_pair_inverses`,
+  which every K-FAC driver, serial or emulated-distributed, runs).
 * **precondition** — each ready layer's :meth:`KFACLayerState.precondition`
   applies ``B^{-1} G A^{-1}`` with the inverses the state holds, fresh or
   stale. The two gemms are the whole cost, so stacking layers gains
@@ -202,8 +203,8 @@ class KFAC:
         """Inversion work: recompute damped inverses for every layer.
 
         All factors are inverted through :func:`batched_pair_inverses`:
-        grouped by dimension, one float32 Cholesky batch per group,
-        pi-damping split computed vectorially from stacked traces.
+        grouped by dimension, one float32 Cholesky batch per group, with
+        each layer's pi-damping split.
         """
         for _, state in self.layers:
             if state.a_factor.updates == 0 or state.b_factor.updates == 0:

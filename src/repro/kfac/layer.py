@@ -11,7 +11,7 @@ from repro.kfac.factors import (
     compute_factor_from_rows,
     concat_row_batches,
 )
-from repro.kfac.inverse import damped_cholesky_inverse, pi_damping
+from repro.kfac.inverse import batched_pair_inverses
 
 
 @dataclass
@@ -69,19 +69,19 @@ class KFACLayerState:
     # -- inversion work -----------------------------------------------------------
 
     def update_inverses(self, damping: float, use_pi: bool = True) -> None:
-        """Recompute the damped inverses from the current factors."""
+        """Recompute the damped inverses from the current factors.
+
+        Runs :func:`batched_pair_inverses` on this layer's one pair, so a
+        layer inverted alone gets exactly the inverses :class:`KFAC`
+        installs for it from a whole-model batch.
+        """
         if self.a_factor.updates == 0 or self.b_factor.updates == 0:
             raise RuntimeError(f"layer {self.name}: inversion before any curvature")
-        if use_pi:
-            da, db = pi_damping(self.a_factor.value, self.b_factor.value, damping)
-        else:
-            da = db = float(np.sqrt(damping))
-        self.a_inv = damped_cholesky_inverse(self.a_factor.value, da)
-        self.b_inv = damped_cholesky_inverse(self.b_factor.value, db)
-        self.inverse_staleness = 0
+        pair = (self.a_factor.value, self.b_factor.value)
+        self.install_inverses(*batched_pair_inverses([pair], damping, use_pi)[0])
 
     def install_inverses(self, a_inv: np.ndarray, b_inv: np.ndarray) -> None:
-        """Install externally-computed inverses (the batched group path)."""
+        """Install inverses computed from this layer's factors elsewhere."""
         self.a_inv = a_inv
         self.b_inv = b_inv
         self.inverse_staleness = 0

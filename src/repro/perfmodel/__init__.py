@@ -13,11 +13,7 @@ from repro.perfmodel.hardware import Hardware, P100, V100, RTX3090, HARDWARE
 from repro.perfmodel.arch import TransformerArch, ARCHITECTURES
 from repro.perfmodel.costs import WorkCosts, StageCosts, compute_stage_costs
 from repro.perfmodel.memory import MemoryModel, MemoryBreakdown
-from repro.perfmodel.model import (
-    PipelinePerfModel,
-    PerfReport,
-    SCHEDULE_CRITICAL_PATH,
-)
+from repro.perfmodel.model import PipelinePerfModel, PerfReport
 
 __all__ = [
     "Hardware",
@@ -34,5 +30,4 @@ __all__ = [
     "MemoryBreakdown",
     "PipelinePerfModel",
     "PerfReport",
-    "SCHEDULE_CRITICAL_PATH",
 ]

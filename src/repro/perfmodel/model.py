@@ -44,11 +44,6 @@ def _critical_paths() -> dict:
     }
 
 
-#: Import-time snapshot kept for compatibility; the model itself resolves
-#: through the registry so late-registered schedules work too.
-SCHEDULE_CRITICAL_PATH = _critical_paths()
-
-
 @dataclass(frozen=True)
 class PerfReport:
     """All §3.3 quantities for one configuration (times in seconds)."""

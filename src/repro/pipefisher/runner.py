@@ -30,42 +30,6 @@ from repro.pipeline.executor import simulate_tasks
 from repro.pipeline.schedules import PipelineConfig, make_schedule
 from repro.profiler.timeline import Timeline
 from repro.profiler.utilization import colored_seconds, utilization
-from repro.sweep.cache import BoundedCache
-
-#: Sweep-level memo for stage-cost models. ``TransformerArch`` and
-#: ``Hardware`` are frozen dataclasses, so the cost model is a pure
-#: function of this key; sweeps over n_micro/depth/schedule re-derive it
-#: for every run otherwise. LRU-bounded so open-ended what-if sweeps
-#: (many architectures x hardware x micro-batch sizes) cannot grow it
-#: without limit, and clearable so frozen-baseline benchmarks can prove
-#: they ran against a cold cache.
-_STAGE_COSTS_MEMO: BoundedCache = BoundedCache(maxsize=512)
-
-
-def clear_stage_costs_memo() -> None:
-    """Empty the stage-cost memo (benchmarks pin cold-cache baselines)."""
-    _STAGE_COSTS_MEMO.clear()
-
-
-def cached_stage_costs(
-    arch: TransformerArch,
-    hardware: Hardware,
-    b_micro: int,
-    layers_per_stage: int,
-    schedule: str,
-) -> StageCosts:
-    """Memoized :func:`compute_stage_costs` for sweep-heavy callers."""
-    key = (arch, hardware, b_micro, layers_per_stage, schedule)
-    return _STAGE_COSTS_MEMO.get_or_create(
-        key,
-        lambda: compute_stage_costs(
-            arch,
-            hardware,
-            b_micro,
-            layers_per_stage=layers_per_stage,
-            overhead_s=host_overhead(schedule),
-        ),
-    )
 
 
 @dataclass
@@ -211,10 +175,11 @@ class PipeFisherRun:
 
     def execute(self) -> PipeFisherReport:
         # The baseline and precondition configs share one cost model and
-        # comm model — computed once (and memoized across sweep runs).
-        costs = cached_stage_costs(
+        # comm model, computed once per run.
+        costs = compute_stage_costs(
             self.arch, self.hardware, self.b_micro,
-            self.layers_per_stage, self.schedule,
+            layers_per_stage=self.layers_per_stage,
+            overhead_s=host_overhead(self.schedule),
         )
         comm = CommModel(allreduce_gbs=self.hardware.interconnect_gbs)
 

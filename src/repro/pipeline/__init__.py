@@ -33,7 +33,6 @@ from repro.pipeline.schedules import (
     ZeroBubbleSchedule,
     builder_class,
     make_schedule,
-    SCHEDULES,
 )
 from repro.pipeline.executor import simulate_tasks, SimulationResult
 from repro.pipeline.bubbles import bubble_time, bubble_fraction
@@ -58,7 +57,6 @@ __all__ = [
     "ZeroBubbleSchedule",
     "builder_class",
     "make_schedule",
-    "SCHEDULES",
     "simulate_tasks",
     "SimulationResult",
     "bubble_time",

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 from repro.perfmodel.costs import StageCosts
 from repro.pipeline.comm import CommModel
-from repro.pipeline.spec import ScheduleSpec, get_spec, schedule_names
+from repro.pipeline.spec import ScheduleSpec, get_spec
 from repro.pipeline.work import Task, WorkKind
 
 
@@ -407,9 +407,3 @@ OneFOneBSchedule = builder_class("1f1b")
 ChimeraSchedule = builder_class("chimera")
 InterleavedSchedule = builder_class("interleaved")
 ZeroBubbleSchedule = builder_class("zb1f1b")
-
-#: name -> builder class, reflecting the registry (kept for import
-#: compatibility; prefer ``repro.pipeline.spec.schedule_names()``).
-SCHEDULES: dict[str, type[ScheduleBuilder]] = {
-    name: builder_class(name) for name in schedule_names()
-}

@@ -46,6 +46,27 @@ def test_campaign_run_resume_status_diff(capsys, tmp_path):
     assert "bit-exact" in out
 
 
+def _progress_sources(out: str) -> list[str]:
+    """The ``[run]``/``[db]`` tag of each ``--verbose`` progress line."""
+    return [line.split()[0] for line in out.splitlines()
+            if line.startswith("  [")]
+
+
+def test_campaign_run_verbose_labels_reused_units(capsys, tmp_path):
+    run_dir = str(tmp_path / "zb")
+    code, out = _run(capsys, "campaign", "run", "zb", "--run-dir", run_dir,
+                     "--verbose")
+    assert code == 0
+    assert _progress_sources(out) == ["[run]"] * 18
+
+    # A resume reuses every unit, and each progress line says so.
+    code, out = _run(capsys, "campaign", "run", "zb", "--run-dir", run_dir,
+                     "--verbose")
+    assert code == 0
+    assert "executed 0, reused 18/18" in out
+    assert _progress_sources(out) == ["[db]"] * 18
+
+
 def test_campaign_diff_detects_divergence(capsys, tmp_path, monkeypatch):
     import json
 

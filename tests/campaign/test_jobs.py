@@ -87,6 +87,18 @@ def test_cli_jobs_flag(tmp_path, capsys):
     assert "phase_retime_s" in rec["engine"]
 
 
+def test_cli_jobs_verbose_labels_worker_runs_and_reuse(tmp_path, capsys):
+    """The parent replays the merged DB to print progress: units the
+    workers ran this invocation are ``[run]``, resumed ones ``[db]``."""
+    argv = ["run", "zb", "--run-dir", str(tmp_path / "run"), "--jobs", "2",
+            "--verbose"]
+    for tag in ("[run]", "[db]"):
+        assert campaign_main(argv) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  [")]
+        assert [line.split()[0] for line in lines] == [tag] * 18
+
+
 def test_cli_jobs_validation(tmp_path, capsys):
     assert campaign_main(["run", "zb", "--jobs", "2"]) == 2
     assert "--run-dir" in capsys.readouterr().err

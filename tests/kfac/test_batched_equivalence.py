@@ -24,7 +24,11 @@ import pytest
 
 from repro.kfac import KFAC, KFACLayerState
 from repro.kfac.factors import compute_factor_from_rows
-from repro.kfac.inverse import damped_cholesky_inverse, pi_damping
+from repro.kfac.inverse import (
+    batched_damped_cholesky_inverse,
+    damped_cholesky_inverse,
+    pi_damping,
+)
 from repro.nn import Linear, Module
 from repro.optim import SGD
 from repro.tensor import Tensor, functional as F
@@ -280,6 +284,87 @@ def test_batched_inversion_matches_seed(use_pi, include_bias):
         np.testing.assert_allclose(s_new.a_inv, s_seed.a_inv, **INV_TOL)
         np.testing.assert_allclose(s_new.b_inv, s_seed.b_inv, **INV_TOL)
         assert s_new.inverse_staleness == 0
+
+
+def frozen_batched_pi_damping(a_traces, a_dims, b_traces, b_dims, damping):
+    """The vectorized pi split ``KFAC`` used before every driver shared
+    :func:`pi_damping`, verbatim."""
+    tr_a = np.asarray(a_traces, dtype=np.float64) / np.asarray(a_dims)
+    tr_b = np.asarray(b_traces, dtype=np.float64) / np.asarray(b_dims)
+    root = float(np.sqrt(damping))
+    ok = (tr_a > 0) & (tr_b > 0)
+    pi = np.sqrt(np.where(ok, tr_a / np.where(tr_b > 0, tr_b, 1.0), 1.0))
+    return root * pi, root / pi
+
+
+def frozen_pair_inverses(pairs, damping, use_pi=True):
+    """``batched_pair_inverses`` with its dampings split from stacked
+    per-dimension traces (the form before the per-layer ``pi_damping``),
+    verbatim but for the kernel call, which is the public twin of the
+    one it made."""
+    n = len(pairs)
+    dim_groups = {}
+    for i, (a, b) in enumerate(pairs):
+        dim_groups.setdefault(a.shape[0], []).append((i, 0))
+        dim_groups.setdefault(b.shape[0], []).append((i, 1))
+    stacks = {
+        dim: np.stack([pairs[i][side] for i, side in members])
+        for dim, members in dim_groups.items()
+    }
+    if use_pi:
+        tr_a = np.empty(n)
+        tr_b = np.empty(n)
+        for dim, members in dim_groups.items():
+            traces = np.trace(stacks[dim], axis1=1, axis2=2, dtype=np.float64)
+            for (i, side), t in zip(members, traces):
+                (tr_a if side == 0 else tr_b)[i] = t
+        a_dims = np.array([a.shape[0] for a, _ in pairs])
+        b_dims = np.array([b.shape[0] for _, b in pairs])
+        damp_a, damp_b = frozen_batched_pi_damping(
+            tr_a, a_dims, tr_b, b_dims, damping)
+    else:
+        root = float(np.sqrt(damping))
+        damp_a = np.full(n, root)
+        damp_b = np.full(n, root)
+    out = [[None, None] for _ in range(n)]
+    for dim, members in dim_groups.items():
+        damp = np.array(
+            [(damp_a if side == 0 else damp_b)[i] for i, side in members]
+        )
+        inv_stack = batched_damped_cholesky_inverse(stacks[dim], damp)
+        for j, (i, side) in enumerate(members):
+            out[i][side] = inv_stack[j]
+    return [(a, b) for a, b in out]
+
+
+@pytest.mark.parametrize("use_pi", [True, False])
+def test_update_inverses_bit_identical_to_stacked_trace_split(use_pi):
+    """Guard: splitting each layer's damping with the float64-trace
+    ``pi_damping`` leaves ``KFAC.update_inverses`` bit-identical to the
+    stacked-trace vectorized split, over two refreshes of a stack with
+    three dimension groups and a layer whose B trace is zero (the
+    symmetric-split fallback)."""
+    shapes = [(48, 48)] * 8 + [(48, 192), (192, 48)] * 2 + [(40, 24)]
+    layers = [Linear(din, dout, rng=np.random.default_rng(i))
+              for i, (din, dout) in enumerate(shapes)]
+    kfac = KFAC([(f"l{i}", l) for i, l in enumerate(layers)],
+                SGD([p for l in layers for p in l.parameters()], lr=0.1),
+                damping=0.03, stat_decay=0.95, use_pi=use_pi)
+    rng = np.random.default_rng(43)
+    for _ in range(2):
+        for j, (_, state) in enumerate(kfac.layers):
+            scale = 0.0 if j == len(shapes) - 1 else 0.1
+            state.update_curvature(
+                rand_batches(rng, [24, 9], state.din),
+                rand_batches(rng, [24, 9], state.dout, scale=scale),
+                loss_scale=33.0,
+            )
+        kfac.update_inverses()
+        pairs = [(s.a_factor.value, s.b_factor.value) for _, s in kfac.layers]
+        want = frozen_pair_inverses(pairs, kfac.damping, use_pi=use_pi)
+        for (_, state), (a_inv, b_inv) in zip(kfac.layers, want):
+            assert np.array_equal(state.a_inv, a_inv)
+            assert np.array_equal(state.b_inv, b_inv)
 
 
 # -- preconditioning ------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kfac import KFACLayerState
+from repro.kfac import KFACLayerState, batched_pair_inverses
 
 
 def make_state(din=3, dout=2, include_bias=False):
@@ -51,6 +51,18 @@ class TestInversion:
     def test_inversion_before_curvature_raises(self):
         with pytest.raises(RuntimeError):
             make_state().update_inverses(0.01)
+
+    @pytest.mark.parametrize("use_pi", [True, False])
+    @pytest.mark.parametrize("include_bias", [False, True])
+    def test_inverses_are_the_batched_pair_inverses(self, use_pi, include_bias):
+        """A lone layer inverts through the same float32 batch as KFAC."""
+        s = make_state(din=9, dout=5, include_bias=include_bias)
+        feed(s, scale=0.1)
+        s.update_inverses(0.03, use_pi=use_pi)
+        (a_inv, b_inv), = batched_pair_inverses(
+            [(s.a_factor.value, s.b_factor.value)], 0.03, use_pi=use_pi)
+        assert np.array_equal(s.a_inv, a_inv)
+        assert np.array_equal(s.b_inv, b_inv)
 
     def test_inverses_set_and_fresh(self):
         s = make_state()

@@ -5,7 +5,6 @@ import pytest
 from repro.perfmodel.arch import BERT_BASE
 from repro.perfmodel.hardware import P100
 from repro.pipefisher import PipeFisherRun
-from repro.sweep.cache import BoundedCache
 
 
 @pytest.fixture(scope="module")
@@ -124,9 +123,7 @@ class TestLazyWindowTimelines:
 
 
 class TestStageCostCaching:
-    """The baseline and precondition configs share one cost model, and
-    sweeps memoize it on (arch, hardware, b_micro, layers_per_stage,
-    schedule)."""
+    """The baseline and precondition configs share one cost model."""
 
     def test_execute_computes_costs_once(self, monkeypatch):
         from repro.pipefisher import runner as runner_mod
@@ -139,40 +136,7 @@ class TestStageCostCaching:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(runner_mod, "compute_stage_costs", counting)
-        monkeypatch.setattr(runner_mod, "_STAGE_COSTS_MEMO",
-                            BoundedCache(maxsize=512))
         run = PipeFisherRun(schedule="gpipe", arch=BERT_BASE, hardware=P100,
                             b_micro=32, depth=4, n_micro=4, layers_per_stage=3)
         run.execute()
         assert len(calls) == 1  # baseline + precondition share the result
-
-    def test_sweep_reuses_memoized_costs(self, monkeypatch):
-        from repro.pipefisher import runner as runner_mod
-
-        calls = []
-        real = runner_mod.compute_stage_costs
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(runner_mod, "compute_stage_costs", counting)
-        monkeypatch.setattr(runner_mod, "_STAGE_COSTS_MEMO",
-                            BoundedCache(maxsize=512))
-        for n_micro in (4, 6, 8):  # sweep dimension not in the memo key
-            PipeFisherRun(schedule="gpipe", arch=BERT_BASE, hardware=P100,
-                          b_micro=32, depth=4, n_micro=n_micro,
-                          layers_per_stage=3).execute()
-        assert len(calls) == 1
-
-    def test_memoized_run_matches_fresh(self, gpipe_report):
-        from repro.pipefisher.runner import _STAGE_COSTS_MEMO
-
-        _STAGE_COSTS_MEMO.clear()
-        fresh = PipeFisherRun(schedule="gpipe", arch=BERT_BASE, hardware=P100,
-                              b_micro=32, depth=4, n_micro=4,
-                              layers_per_stage=3).execute()
-        assert fresh.pipefisher_utilization == pytest.approx(
-            gpipe_report.pipefisher_utilization, abs=1e-12)
-        assert fresh.baseline_step_time == pytest.approx(
-            gpipe_report.baseline_step_time, abs=1e-12)

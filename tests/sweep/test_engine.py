@@ -10,7 +10,6 @@ from repro.perfmodel.model import PipelinePerfModel
 from repro.pipefisher import runner as runner_mod
 from repro.pipefisher.runner import PipeFisherRun
 from repro.sweep import SweepEngine, default_engine
-from repro.sweep.cache import BoundedCache
 from tests.sweep.test_engine_equivalence import assert_reports_identical
 
 
@@ -110,14 +109,12 @@ class TestSyntheticCosts:
     def _assert_matches_execute(monkeypatch, engine, run, costs):
         """``engine.run(run, costs)`` equals ``run.execute()`` at ``costs``.
 
-        The reference resolves costs through the runner memo, so the
-        synthetic model is seeded there.
+        The reference computes its costs through the runner's
+        ``compute_stage_costs``, so the synthetic model is seeded there.
         """
         got = engine.run(run, costs=costs)
-        memo = BoundedCache(maxsize=8)
-        memo.put((run.arch, run.hardware, run.b_micro, run.layers_per_stage,
-                  run.schedule), costs)
-        monkeypatch.setattr(runner_mod, "_STAGE_COSTS_MEMO", memo)
+        monkeypatch.setattr(runner_mod, "compute_stage_costs",
+                            lambda *args, **kwargs: costs)
         assert_reports_identical(run.execute(), got)
 
     def test_uniform_x2_point_matches_reference(self, monkeypatch):
@@ -197,17 +194,3 @@ class TestPerfModelPath:
         engine.run(chimera_point(b_micro=32, depth=8))
         assert engine.stats()["stage_costs"].misses == before
 
-
-class TestStageCostMemo:
-    """The runner-level memo (satellite of the same fix family)."""
-
-    def test_bounded_and_clearable(self):
-        runner_mod.clear_stage_costs_memo()
-        for b in range(1, 40):
-            runner_mod.cached_stage_costs(BERT_BASE, P100, b, 1, "gpipe")
-        memo = runner_mod._STAGE_COSTS_MEMO
-        assert len(memo) <= memo.maxsize
-        runner_mod.clear_stage_costs_memo()
-        assert len(memo) == 0
-        s = memo.stats()
-        assert (s.hits, s.misses, s.evictions) == (0, 0, 0)

@@ -9,11 +9,18 @@ into executed units through the shared sweep engine:
   bit-identical to the pre-campaign imperative loops (same calls, same
   order, same engine);
 * **persistent mode** (``run_dir=...``) — each completed unit is
-  recorded in the append-only run DB with its serialized value, elapsed
-  time, and the sweep-engine cache-counter deltas it caused.  A resumed
-  run skips every recorded-done unit without re-executing it, and
-  ``shard=(i, n)`` restricts execution to every n-th unit so workers
-  can split one campaign across processes and merge their DBs.
+  recorded in the append-only run DB with its serialized value and its
+  share of its group's elapsed time and engine-counter deltas.  A
+  resumed run skips every recorded-done unit without re-executing it,
+  and ``shard=(i, n)`` restricts execution to every n-th unit so
+  workers can split one campaign across processes and merge their DBs.
+
+Each run of consecutive pending units that share a
+:func:`~repro.campaign.units.structure_key` (the ``b_micro`` axis of a
+``pipefisher`` grid, a ``stochastic`` one's seeds) is one
+:func:`~repro.campaign.units.execute_units` group with one
+``append_many``: a killed run loses at most that group, and a failing
+group leaves its finished units ``done``, the failing one ``failed``.
 """
 
 from __future__ import annotations
@@ -21,11 +28,12 @@ from __future__ import annotations
 import shutil
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 from repro.campaign.rundb import DONE, FAILED, RunDB, merge_run_dbs
 from repro.campaign.spec import CampaignSpec, CampaignValidationError, UnitSpec
-from repro.campaign.units import UnitContext, execute_unit
+from repro.campaign.units import UnitContext, execute_units, structure_key
 
 #: Scalar sweep-engine counters surfaced per unit record.
 _ENGINE_COUNTERS = ("runs", "timing_hits", "reexecutions", "native_evals",
@@ -56,6 +64,12 @@ def _engine_counters(engine) -> dict:
 
 def _counter_delta(before: dict, after: dict) -> dict:
     return {k: after[k] - before[k] for k in after}
+
+
+def _split_delta(delta: dict, n: int) -> list:
+    """``delta`` in ``n`` even shares; integer counters sum back exactly."""
+    return [{k: v // n + (i < v % n) if isinstance(v, int) else v / n
+             for k, v in delta.items()} for i in range(n)]
 
 
 def parse_shard(text: str) -> tuple:
@@ -146,12 +160,12 @@ class CampaignRunner:
     ) -> CampaignResult:
         """Run (or resume) ``spec``, returning the completed state.
 
-        ``on_unit(unit, record, reused)`` is called after each unit
-        completes (``reused=False``) or is reused from the run DB
-        (``reused=True``); the CLI uses it for progress lines.
-        Exceptions raised by a unit executor are recorded as ``failed``
-        in the run DB (so an interrupted campaign shows where it stopped)
-        and re-raised.
+        ``on_unit(unit, record, reused)`` is called once per unit in
+        canonical order, after its group completes (``reused=False``)
+        or as it is reused from the run DB (``reused=True``); the CLI
+        uses it for progress lines.  An exception raised by a unit
+        executor is recorded as ``failed`` in the run DB (so an
+        interrupted campaign shows where it stopped) and re-raised.
 
         ``jobs=N`` (persistent mode only) splits the campaign into N
         round-robin shards, runs each in a worker process against its
@@ -165,60 +179,73 @@ class CampaignRunner:
         db = RunDB.open(self.run_dir) if self.run_dir is not None else None
         if db is not None:
             db.bind(spec)
-        ctx = UnitContext(engine=self.engine)
         result = CampaignResult(spec=spec)
-        before_all = _engine_counters(self.engine)
-        # Nothing but this loop touches the engine, so each unit's
-        # "before" snapshot is the previous unit's "after" — one stats
-        # call per unit, not two.
-        before = before_all
+        # Nothing but the groups touches the engine, so each group's
+        # "before" snapshot is the previous group's "after".
+        before = before_all = _engine_counters(self.engine)
         t0 = time.perf_counter()
 
-        units = shard_units(spec.units(), shard)
-        # Hash every unit up front: hashed between two engine runs, a
-        # key costs ~5x its warm time (measured on a 2-vCPU host).
-        keys = [unit.key for unit, _ in units]
-        for (unit, index), key in zip(units, keys):
-            if db is not None and resume:
-                prior = db.done(key)
-                if prior is not None:
-                    result.records[key] = prior
-                    result.objects[key] = None
-                    result.reused.append(key)
-                    if on_unit is not None:
-                        on_unit(unit, prior, True)
-                    continue
-            started = time.perf_counter()
-            try:
-                obj, value, elapsed = execute_unit(unit, ctx)
-            except Exception as exc:
-                if db is not None:
-                    db.append(self._record(
-                        spec, unit, index, shard, status=FAILED,
-                        value=None, elapsed=time.perf_counter() - started,
-                        engine=_counter_delta(before,
-                                              _engine_counters(self.engine)),
-                        error=f"{type(exc).__name__}: {exc}",
-                    ))
-                raise
-            after = _engine_counters(self.engine)
-            record = self._record(
-                spec, unit, index, shard, status=DONE, value=value,
-                elapsed=elapsed, engine=_counter_delta(before, after),
-            )
-            before = after
-            if db is not None:
-                db.append(record)
-            result.records[key] = record
-            result.objects[key] = obj
-            result.executed.append(key)
+        # Hash every unit and its structure up front: hashed between two
+        # engine runs, a key costs ~5x its warm time (measured on a
+        # 2-vCPU host).  A reused unit is a group of its own.
+        rows = []
+        for unit, index in shard_units(spec.units(), shard):
+            key = unit.key
+            prior = db.done(key) if db is not None and resume else None
+            tag = (False, key) if prior else (True, structure_key(unit))
+            rows.append((unit, index, prior, tag))
+        for (pending, _), group in groupby(rows, key=lambda row: row[3]):
+            if pending:
+                before = self._run_group(spec, shard, list(group), db, result,
+                                         on_unit, before)
+                continue
+            unit, _, prior, _ = next(group)
+            result.records[unit.key] = prior
+            result.objects[unit.key] = None
+            result.reused.append(unit.key)
             if on_unit is not None:
-                on_unit(unit, record, False)
+                on_unit(unit, prior, True)
 
         result.elapsed_s = time.perf_counter() - t0
         result.engine_delta = _counter_delta(
             before_all, _engine_counters(self.engine))
         return result
+
+    def _run_group(self, spec: CampaignSpec, shard: tuple, rows: list, db,
+                   result: CampaignResult, on_unit, before: dict) -> dict:
+        """Execute and record one structure group (also when it raises);
+        the engine counters after it."""
+        outcomes, error = [], None
+        started = time.perf_counter()
+        try:
+            for outcome in execute_units([row[0] for row in rows],
+                                         UnitContext(engine=self.engine)):
+                outcomes.append(outcome)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            outcomes.append((None, None, time.perf_counter() - started
+                             - sum(o[2] for o in outcomes)))
+            raise
+        finally:
+            after = _engine_counters(self.engine)
+            shares = _split_delta(_counter_delta(before, after), len(outcomes))
+            records = [
+                self._record(spec, unit, index, shard, value, elapsed, share)
+                for (unit, index, _, _), (_, value, elapsed), share
+                in zip(rows, outcomes, shares)]
+            if error is not None:
+                records[-1].update(status=FAILED, error=error)
+            if db is not None:
+                db.append_many(records)
+            done = len(records) - (error is not None)
+            for (unit, _, _, _), (obj, _, _), record in zip(
+                    rows[:done], outcomes, records):
+                result.records[unit.key] = record
+                result.objects[unit.key] = obj
+                result.executed.append(unit.key)
+                if on_unit is not None:
+                    on_unit(unit, record, False)
+        return after
 
     def _run_jobs(self, spec: CampaignSpec, shard: tuple, resume: bool,
                   on_unit, jobs: int) -> CampaignResult:
@@ -285,23 +312,19 @@ class CampaignRunner:
 
     @staticmethod
     def _record(spec: CampaignSpec, unit: UnitSpec, index: int, shard: tuple,
-                status: str, value, elapsed: float, engine: dict,
-                error: str | None = None) -> dict:
-        rec = {
+                value, elapsed: float, engine: dict) -> dict:
+        return {
             "key": unit.key,
             "campaign": spec.name,
             "kind": unit.kind,
             "params": unit.params_dict(),
             "index": index,
             "shard": [shard[0] + 1, shard[1]],
-            "status": status,
+            "status": DONE,
             "value": value,
             "elapsed_s": elapsed,
             "engine": engine,
         }
-        if error is not None:
-            rec["error"] = error
-        return rec
 
 
 def _shard_worker(spec: CampaignSpec, shard: tuple, run_dir: str,

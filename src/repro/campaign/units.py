@@ -5,11 +5,11 @@ object, evaluated through the shared sweep engine) with a ``serialize``
 function ((live object, params) -> JSON-safe value recorded in the run
 DB), and :func:`execute_units` is the one place units run: the planning
 service hands it a request's store misses as one group, and the
-campaign runner runs one unit at a time through :func:`execute_unit`
-(``execute_units([unit], ctx)[0]``).  A kind may also register an
-``execute_group`` function that executes many units' params at once;
-kinds without one are looped.  The two generic kinds every simulator
-campaign is built from live here:
+campaign runner each run of units that share a :func:`structure_key`;
+it alone decides where a failing group stopped.  A kind may also
+register an ``execute_group`` function that executes many units' params
+at once; kinds without one are looped.  The two generic kinds every
+simulator campaign is built from live here:
 
 * ``pipefisher`` — one :class:`~repro.pipefisher.runner.PipeFisherRun`
   point; a group's points are evaluated through one
@@ -33,6 +33,8 @@ units of one structure to the engine that already holds its template.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from time import perf_counter
 from typing import Any, Callable
 
@@ -95,39 +97,36 @@ def get_unit_kind(name: str) -> UnitKind:
         ) from None
 
 
-def execute_units(units, ctx: UnitContext) -> list:
-    """Run ``units``: one ``(live object, serialized value, elapsed_s)``
-    per unit, in order.
+def execute_units(units, ctx: UnitContext):
+    """Yield ``(live object, serialized value, elapsed_s)`` per unit,
+    in order, each run of consecutive units of one kind as a group.
 
-    Units are grouped by kind, and each kind's group is executed
-    against ``ctx.engine`` (in one ``execute_group`` call where the
-    kind registers one, else a loop over ``execute``) and serialized;
-    a unit's ``elapsed_s`` is its even share of its group's wall time.
-    Exceptions propagate unchanged — each caller maps them its own
-    way.
+    A kind with ``execute_group`` runs a group in one call, each unit
+    taking an even share of its wall time; if the call raises, the
+    group re-runs one timed unit at a time, as other kinds always run.
+    The first unit to raise then stops it: its exception propagates
+    unchanged, after every unit before it was yielded.
     """
-    by_kind: dict = {}
-    for i, unit in enumerate(units):
-        by_kind.setdefault(unit.kind, []).append(i)
-    out: list = [None] * len(units)
-    for name, members in by_kind.items():
+    for name, group in groupby(units, key=attrgetter("kind")):
         started = perf_counter()
         kind = get_unit_kind(name)
-        params = [units[i].params_dict() for i in members]
+        params = [u.params_dict() for u in group]
         if kind.execute_group is not None:
-            objs = kind.execute_group(params, ctx)
-        else:
-            objs = [kind.execute(p, ctx) for p in params]
-        values = [kind.serialize(obj, p) for obj, p in zip(objs, params)]
-        elapsed = (perf_counter() - started) / len(members)
-        for i, obj, value in zip(members, objs, values):
-            out[i] = (obj, value, elapsed)
-    return out
-
-
-def execute_unit(unit, ctx: UnitContext) -> tuple:
-    """Run one unit: ``execute_units([unit], ctx)[0]``."""
-    return execute_units([unit], ctx)[0]
+            try:
+                objs = kind.execute_group(params, ctx)
+                values = [kind.serialize(obj, p)
+                          for obj, p in zip(objs, params)]
+            except Exception:
+                pass  # re-run one at a time, to find the failing unit
+            else:
+                elapsed = (perf_counter() - started) / len(params)
+                for obj, value in zip(objs, values):
+                    yield obj, value, elapsed
+                continue
+        for p in params:
+            started = perf_counter()
+            obj = kind.execute(p, ctx)
+            yield obj, kind.serialize(obj, p), perf_counter() - started
 
 
 def unit_kind_names() -> list[str]:

@@ -405,61 +405,39 @@ class PlanningService:
         :func:`~repro.campaign.units.execute_units` against the slot's
         engine — the campaign runner's own execution, so the recorded
         values are bit-identical to a ``repro campaign run`` of the same
-        grid — and are stored together.  On any exception the cost of
-        the units not executed is refunded.  Only the routed slot is
-        locked; the store and budget are internally atomic, so distinct
-        grids execute concurrently.
+        grid — and the units it finished are stored together, a failed
+        group's too; the cost of the rest is refunded.  A unit whose
+        params its kind rejects (``KeyError``/``TypeError``/
+        ``ValueError``) answers 400.  Only the routed slot is locked;
+        the store and budget are internally atomic, so distinct grids
+        execute concurrently.
         """
-        from repro.campaign.units import UnitContext
+        from repro.campaign.units import UnitContext, execute_units
 
         with self.pool.route(self._units_key(units)) as slot:
             cost = sum(1 for u in units if not self.store.contains(u.key))
             if charge:
                 self._charge(cost)
-            ctx = UnitContext(engine=slot.engine)
             out = [self.store.get(u.key) for u in units]
             misses = [u for u, rec in zip(units, out) if rec is None]
-            stored: list = []
+            results: list = []
             try:
-                self._execute_misses(misses, ctx, stored)
-            except Exception:
-                if charge:
+                for result in execute_units(
+                        misses, UnitContext(engine=slot.engine)):
+                    results.append(result)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ServiceError(
+                    400, f"unit {misses[len(results)].key} rejected: {exc}"
+                ) from exc
+            finally:
+                stored = self.store.put_many([
+                    store_record(u.key, u.kind, u.params_dict(), value, s)
+                    for u, (_, value, s) in zip(misses, results)])
+                if charge and len(stored) < len(misses):
                     self.metrics.refund(cost - len(stored))
-                raise
             fresh = iter(stored)
             out = [rec if rec is not None else next(fresh) for rec in out]
             return out, len(stored), (cost if charge else 0)
-
-    def _execute_misses(self, misses, ctx, stored: list) -> None:
-        """Execute and store ``misses``, appending their records to
-        ``stored`` in order.
-
-        If the group raises, the misses are re-run one at a time, each
-        stored as it completes, up to the one that raises: the units
-        before it keep their results (and charge) and the rest stay
-        undone, as a per-unit loop leaves them.  A unit whose params its
-        kind rejects (``KeyError``/``TypeError``/``ValueError``), in
-        building its run or in compiling it, answers 400.
-        """
-        from repro.campaign.units import execute_unit, execute_units
-
-        try:
-            results = execute_units(misses, ctx)
-        except Exception:
-            for u in misses:
-                try:
-                    result = execute_unit(u, ctx)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ServiceError(
-                        400, f"unit {u.key} rejected: {exc}") from exc
-                stored += self._store_results([u], [result])
-            return
-        stored += self._store_results(misses, results)
-
-    def _store_results(self, units, results) -> list:
-        return self.store.put_many([
-            store_record(u.key, u.kind, u.params_dict(), value, elapsed)
-            for u, (_, value, elapsed) in zip(units, results)])
 
     def _run_job(self, job: dict) -> None:
         """Execute one queued job (called from the queue's worker thread).

@@ -1,14 +1,18 @@
-"""Runner semantics: resume without re-execution, sharding, counter deltas.
+"""Runner semantics: resume without re-execution, sharding, counter deltas,
+structure groups.
 
 The resumability and sharding tests drive a spy unit kind whose executor
 counts every invocation, so "resume re-executes zero completed units" is
-asserted on actual execution counts, not on runner bookkeeping.
+asserted on actual execution counts, not on runner bookkeeping.  A
+second spy kind declares ``i`` a timing param and registers an
+``execute_group``, so all its units form one structure group.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.campaign import runner as runner_mod
 from repro.campaign.rundb import DONE, FAILED, RunDB, merge_run_dbs
 from repro.campaign.runner import CampaignRunner, parse_shard, shard_units
 from repro.campaign.spec import CampaignSpec, CampaignValidationError
@@ -25,7 +29,15 @@ def _execute_spy(params, ctx):
     return {"i": params["i"], "squared": params["i"] ** 2}
 
 
+def _execute_spy_group(params_list, ctx):
+    if any(p["i"] == SPY["fail_on"] for p in params_list):
+        raise RuntimeError("injected failure in the group")
+    return [_execute_spy(p, ctx) for p in params_list]
+
+
 register_unit_kind("test_spy", _execute_spy, lambda obj, params: obj)
+register_unit_kind("test_spy_group", _execute_spy, lambda obj, params: obj,
+                   timing_params=("i",), execute_group=_execute_spy_group)
 
 
 @pytest.fixture
@@ -35,10 +47,10 @@ def spy():
     return SPY
 
 
-def _spy_spec(n: int = 6) -> CampaignSpec:
+def _spy_spec(n: int = 6, kind: str = "test_spy") -> CampaignSpec:
     return CampaignSpec(
         name="spy_demo", title="execution-count spy campaign",
-        kind="test_spy", grid=(("i", tuple(range(n))),),
+        kind=kind, grid=(("i", tuple(range(n))),),
     )
 
 
@@ -212,3 +224,96 @@ def test_records_carry_engine_cache_deltas(tmp_path):
     for key in total:
         assert total[key] == sum(
             r["engine"][key] for r in result.records.values())
+
+
+# -- structure groups -----------------------------------------------------------
+
+
+def test_a_grid_runs_one_group_per_structure(monkeypatch, tmp_path):
+    """The campaign-overhead benchmark's grid: 36 units, 6 structures."""
+    from repro.sweep.engine import SweepEngine
+
+    spec = CampaignSpec(
+        name="groups", title="hardware x depth x b_micro chimera grid",
+        kind="pipefisher",
+        fixed=(("arch", "BERT-Base"), ("n_micro_factor", 2),
+               ("schedule", "chimera")),
+        grid=(("hardware", ("P100", "V100", "RTX3090")),
+              ("depth", (8, 16)),
+              ("b_micro", (2, 4, 8, 16, 32, 64))),
+    )
+    executed, appended = [], []
+    execute_units = runner_mod.execute_units
+    append_many = RunDB.append_many
+
+    def spy_execute(units, ctx):
+        executed.append(len(units))
+        return execute_units(units, ctx)
+
+    def spy_append(db, records):
+        records = list(records)
+        appended.append(len(records))
+        append_many(db, records)
+
+    monkeypatch.setattr(runner_mod, "execute_units", spy_execute)
+    monkeypatch.setattr(RunDB, "append_many", spy_append)
+    seen = []
+    result = CampaignRunner(engine=SweepEngine(), run_dir=tmp_path).run(
+        spec, on_unit=lambda unit, record, reused: seen.append(unit.key))
+    assert len(spec.units()) == 36
+    assert executed == [6] * 6
+    assert appended == [6] * 6
+    assert seen == [u.key for u in spec.units()], "on_unit in unit order"
+    assert result.values() == RunDB.open(tmp_path).values()
+    assert len(result.values()) == 36
+
+
+def test_a_failing_group_leaves_its_finished_units_done(spy, tmp_path):
+    spec = _spy_spec(6, kind="test_spy_group")
+    run_dir = tmp_path / "run"
+    reference = CampaignRunner().run(spec).values()
+    spy["calls"] = []
+
+    spy["fail_on"] = 3
+    with pytest.raises(RuntimeError, match="injected failure at unit 3"):
+        CampaignRunner(run_dir=run_dir).run(spec)
+    assert spy["calls"] == [0, 1, 2]
+    db = RunDB.open(run_dir)
+    assert db.status_counts() == {DONE: 3, FAILED: 1}
+    failed = db.records[spec.units()[3].key]
+    assert failed["status"] == FAILED
+    assert failed["error"] == "RuntimeError: injected failure at unit 3"
+
+    spy["fail_on"] = None
+    spy["calls"] = []
+    result = CampaignRunner(run_dir=run_dir).run(spec)
+    assert spy["calls"] == [3, 4, 5], "resume starts at the failing unit"
+    assert len(result.reused) == 3 and len(result.executed) == 3
+    assert result.values() == reference
+
+
+def test_grouped_records_split_the_group_engine_delta(tmp_path):
+    from repro.sweep.engine import SweepEngine
+
+    spec = CampaignSpec(
+        name="grouped_counters", title="two structures of three points",
+        kind="pipefisher",
+        fixed=(("arch", "BERT-Base"), ("hardware", "P100"),
+               ("n_micro_factor", 2), ("schedule", "1f1b")),
+        grid=(("depth", (4, 8)), ("b_micro", (2, 4, 8))),
+    )
+    result = CampaignRunner(engine=SweepEngine(),
+                            run_dir=tmp_path / "run").run(spec)
+    records = list(result.records.values())
+    total = result.engine_delta
+    assert total["runs"] == 6
+    for key, value in total.items():
+        shares = [r["engine"][key] for r in records]
+        if isinstance(value, int):
+            assert all(isinstance(s, int) for s in shares), key
+            assert sum(shares) == value, key
+        else:
+            assert sum(shares) == pytest.approx(value), key
+    assert [r["engine"]["runs"] for r in records] == [1] * 6
+    assert records == [RunDB.open(tmp_path / "run").records[u.key]
+                       for u in spec.units()]

@@ -143,7 +143,7 @@ def test_ablation_damping_sensitivity(once, benchmark):
 
 def test_ablation_stat_decay(once, benchmark):
     """EMA factors (KAISA-style) vs replace-per-refresh (PipeFisher)."""
-    from repro.kfac import KroneckerFactor
+    from repro.kfac import KroneckerFactor, compute_factor_from_rows
 
     rng = np.random.default_rng(1)
 
@@ -155,7 +155,7 @@ def test_ablation_stat_decay(once, benchmark):
             deltas = []
             for step in range(30):
                 rows = rng.standard_normal((64, 4)).astype(np.float32)
-                kf.update_from_rows(rows)
+                kf.update(compute_factor_from_rows(rows))
                 if prev is not None:
                     deltas.append(float(np.abs(kf.value - prev).mean()))
                 prev = kf.value.copy()

@@ -3,8 +3,8 @@
 The seed implementations are frozen below as the baseline:
 
 * curvature — one small matmul per micro-batch, folded through a float64
-  accumulator (``KroneckerFactor.accumulate_microbatches``), with every
-  gradient row rescaled by the loss scale first;
+  accumulator (the seed's ``KroneckerFactor.accumulate_microbatches``),
+  with every gradient row rescaled by the loss scale first;
 * inversion — per-layer float64 SciPy ``cho_factor``/``cho_solve`` against
   a fresh identity, pi-damping traced per layer;
 * preconditioning — per-layer concat + two matmuls + two ``astype`` copies;
@@ -65,6 +65,8 @@ DAMPING = 0.03
 #: Alternating (new, seed) timing rounds of the inversion and
 #: preconditioning floors.
 ROUNDS = 5
+#: Warm refreshes whose median is the new side of the curvature floor.
+CURV_RUNS = 5
 
 #: Float32-vs-float64 agreement bounds (documented in the equivalence suite).
 CURV_TOL = dict(rtol=5e-5, atol=1e-6)
@@ -177,11 +179,14 @@ _BENCH_RESULTS: dict[str, float] = {}
 def test_curvature_batching_bert_base(once, benchmark):
     """Headline: >= 10x on the full-width BERT-Base encoder stack.
 
-    Timed at steady state: training refreshes curvature every
-    ``curvature_interval`` steps, reusing the persistent group workspaces,
-    so the first (cold, page-faulting) refresh is warm-up here.  The seed
-    loop needs no warm-up — its per-micro-batch float64 temporaries
-    recycle through the allocator within a single refresh.
+    ``KFAC.update_curvature`` is timed warm, as training runs it every
+    ``curvature_interval`` steps: one untimed refresh warms BLAS and the
+    allocator, then the new side is the median of ``CURV_RUNS``
+    refreshes (one sample read anywhere from 11.6x to 20.1x on
+    unchanged code).  The seed loop runs once and needs no warm-up: its
+    per-micro-batch float64 temporaries recycle through the allocator
+    within a single refresh.  The ``curvature_batched_s`` key keeps its
+    name for the BENCH history.
     """
     rng = np.random.default_rng(0)
     shapes = stack_shapes(width_scale=1)
@@ -189,11 +194,17 @@ def test_curvature_batching_bert_base(once, benchmark):
     layers, kfac = make_kfac(shapes, rng)
 
     load_captures(layers, captures)
-    kfac.update_curvature()  # warm-up: fault in the group workspaces
-    load_captures(layers, captures)
-    t0 = time.perf_counter()
-    once(kfac.update_curvature)
-    new_s = time.perf_counter() - t0
+    kfac.update_curvature()  # untimed warm-up refresh
+    runs = []
+    for run in range(CURV_RUNS):
+        load_captures(layers, captures)
+        t0 = time.perf_counter()
+        if run == 0:
+            once(kfac.update_curvature)
+        else:
+            kfac.update_curvature()
+        runs.append(time.perf_counter() - t0)
+    new_s = statistics.median(runs)
 
     seed_states = make_states(shapes)
     t0 = time.perf_counter()
@@ -208,8 +219,8 @@ def test_curvature_batching_bert_base(once, benchmark):
 
     speedup = seed_s / new_s
     print(f"\ncurvature, {len(shapes)} BERT-Base linears x {N_MICRO} micro-"
-          f"batches: batched {new_s:.2f}s vs seed loop {seed_s:.2f}s "
-          f"({speedup:.1f}x)")
+          f"batches: batched {new_s:.2f}s (median of {CURV_RUNS}) vs seed "
+          f"loop {seed_s:.2f}s ({speedup:.1f}x)")
     assert speedup >= 10.0, (
         f"expected >= 10x over the seed curvature loop, got {speedup:.1f}x "
         f"({new_s:.2f}s vs {seed_s:.2f}s)"

@@ -16,7 +16,7 @@ into executed units through the shared sweep engine:
   workers can split one campaign across processes and merge their DBs.
 
 Each run of consecutive pending units that share a
-:func:`~repro.campaign.units.structure_key` (the ``b_micro`` axis of a
+:func:`~repro.campaign.units.structure` (the ``b_micro`` axis of a
 ``pipefisher`` grid, a ``stochastic`` one's seeds) is one
 :func:`~repro.campaign.units.execute_units` group with one
 ``append_many``: a killed run loses at most that group, and a failing
@@ -33,7 +33,7 @@ from pathlib import Path
 
 from repro.campaign.rundb import DONE, FAILED, RunDB, merge_run_dbs
 from repro.campaign.spec import CampaignSpec, CampaignValidationError, UnitSpec
-from repro.campaign.units import UnitContext, execute_units, structure_key
+from repro.campaign.units import UnitContext, execute_units, structure
 
 #: Scalar sweep-engine counters surfaced per unit record.
 _ENGINE_COUNTERS = ("runs", "timing_hits", "reexecutions", "native_evals",
@@ -185,14 +185,15 @@ class CampaignRunner:
         before = before_all = _engine_counters(self.engine)
         t0 = time.perf_counter()
 
-        # Hash every unit and its structure up front: hashed between two
-        # engine runs, a key costs ~5x its warm time (measured on a
-        # 2-vCPU host).  A reused unit is a group of its own.
+        # Hash every unit up front: hashed between two engine runs, a key
+        # costs ~5x its warm time (measured on a 2-vCPU host).  Pending
+        # units group on their unhashed structure; a reused unit is a
+        # group of its own.
         rows = []
         for unit, index in shard_units(spec.units(), shard):
             key = unit.key
             prior = db.done(key) if db is not None and resume else None
-            tag = (False, key) if prior else (True, structure_key(unit))
+            tag = (False, key) if prior else (True, structure(unit))
             rows.append((unit, index, prior, tag))
         for (pending, _), group in groupby(rows, key=lambda row: row[3]):
             if pending:

@@ -5,7 +5,7 @@ object, evaluated through the shared sweep engine) with a ``serialize``
 function ((live object, params) -> JSON-safe value recorded in the run
 DB), and :func:`execute_units` is the one place units run: the planning
 service hands it a request's store misses as one group, and the
-campaign runner each run of units that share a :func:`structure_key`;
+campaign runner each run of units that share a :func:`structure`;
 it alone decides where a failing group stopped.  A kind may also
 register an ``execute_group`` function that executes many units' params
 at once; kinds without one are looped.  The two generic kinds every
@@ -26,8 +26,9 @@ vocabulary.
 
 A kind may declare *timing params*: params that only set durations and
 never change the compiled schedule template a unit evaluates on.
-:func:`structure_key` drops them, so the planning service can route
-units of one structure to the engine that already holds its template.
+:func:`structure` drops them, so the planning service can route units
+of one structure (by :func:`structure_key`) to the engine that already
+holds its template, and a campaign runs them as one group.
 """
 
 from __future__ import annotations
@@ -139,17 +140,27 @@ def kind_seed_aware(name: str) -> bool | None:
     return None if kind is None else kind.seed_aware
 
 
-def structure_key(unit) -> str:
-    """The canonical hash of ``unit`` minus its kind's timing params.
+def structure(unit) -> tuple:
+    """``(kind, params)`` of ``unit`` minus its kind's timing params.
 
     Units that differ only in timing params share it; for a kind that
-    declares none (or is unregistered) it is the unit's own key.
+    declares none (or is unregistered) it is the unit's own pair.
+    Comparing it costs no hashing, so a campaign groups units on it.
     """
     kind = _KINDS.get(unit.kind)
     if kind is None or not kind.timing_params:
+        return unit.kind, unit.params
+    return unit.kind, tuple(p for p in unit.params
+                            if p[0] not in kind.timing_params)
+
+
+def structure_key(unit) -> str:
+    """The canonical hash of :func:`structure`: the unit's own (cached)
+    key when no param was dropped."""
+    kind, params = structure(unit)
+    if len(params) == len(unit.params):
         return unit.key
-    return unit_key(unit.kind, {n: v for n, v in unit.params
-                                if n not in kind.timing_params})
+    return unit_key(kind, dict(params))
 
 
 # -- pipefisher: one simulated PipeFisherRun point ------------------------------

@@ -14,11 +14,7 @@ K-FAC, CPU offloading) in emulated form, which the pipeline benchmarks use
 as baselines.
 """
 
-from repro.kfac.factors import (
-    KroneckerFactor,
-    compute_factor_from_rows,
-    concat_row_batches,
-)
+from repro.kfac.factors import KroneckerFactor, compute_factor_from_rows
 from repro.kfac.inverse import (
     batched_damped_cholesky_inverse,
     batched_pair_inverses,
@@ -37,7 +33,6 @@ from repro.kfac.distributed import (
 __all__ = [
     "KroneckerFactor",
     "compute_factor_from_rows",
-    "concat_row_batches",
     "damped_cholesky_inverse",
     "batched_damped_cholesky_inverse",
     "pi_damping",

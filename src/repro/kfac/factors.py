@@ -18,7 +18,9 @@ per-example gradient, so rows are rescaled by ``N`` before forming ``B``.
 Micro-batch accumulation is a *single* concatenated matmul: the mini-batch
 factor over ``N_micro`` micro-batches equals the factor of the row
 concatenation, so there is no per-micro-batch loop and no float64
-accumulator round trip.
+accumulator round trip (:meth:`repro.kfac.KFACLayerState.update_curvature`
+is that kernel; :func:`compute_factor_from_rows` is the one-batch
+reference).
 """
 
 from __future__ import annotations
@@ -53,15 +55,6 @@ def compute_factor_from_rows(rows: np.ndarray, include_bias: bool = False) -> np
     return (rows.T @ rows) / np.float32(n)
 
 
-def concat_row_batches(row_batches: list[np.ndarray]) -> np.ndarray:
-    """Concatenate captured micro-batch rows into one ``(N, d)`` matrix."""
-    if not row_batches:
-        raise ValueError("no micro-batch rows provided")
-    if len(row_batches) == 1:
-        return np.asarray(row_batches[0])
-    return np.concatenate(row_batches, axis=0)
-
-
 @dataclass
 class KroneckerFactor:
     """A running estimate of one Kronecker factor with exponential averaging.
@@ -88,9 +81,9 @@ class KroneckerFactor:
     def update(self, batch_factor: np.ndarray, copy: bool = True) -> None:
         """Fold one micro-batch factor estimate into the running value.
 
-        ``copy=False`` lets a caller that hands over ownership of
-        ``batch_factor`` (the batched group kernels, whose factor stacks
-        are freshly allocated) skip the defensive float32 copy.
+        ``copy=False`` lets a caller that hands over ownership of a float32
+        ``batch_factor`` (:meth:`KFACLayerState.update_curvature`, whose
+        factors are freshly allocated) skip the defensive copy.
         """
         if batch_factor.shape != (self.dim, self.dim):
             raise ValueError(
@@ -102,20 +95,3 @@ class KroneckerFactor:
             d = self.stat_decay
             self.value = d * self.value + (1.0 - d) * batch_factor.astype(np.float32)
         self.updates += 1
-
-    def update_from_rows(self, rows: np.ndarray, include_bias: bool = False) -> None:
-        self.update(compute_factor_from_rows(rows, include_bias=include_bias))
-
-    def accumulate_microbatches(
-        self, row_batches: list[np.ndarray], include_bias: bool = False
-    ) -> None:
-        """Average factor contributions over several micro-batches.
-
-        Pipeline training sees ``N_micro`` micro-batches per step; the
-        mini-batch factor is the factor of the row concatenation
-        (equivalently, the row-count-weighted mean of per-micro-batch
-        factors), formed here as one ``rows.T @ rows`` matmul.
-        """
-        self.update_from_rows(
-            concat_row_batches(row_batches), include_bias=include_bias
-        )

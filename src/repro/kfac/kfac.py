@@ -16,13 +16,14 @@ the vocabulary classification head (``max_dout`` filters it out when the
 head is expressed as a Linear); the inner optimizer updates every
 parameter, preconditioned or not.
 
-Curvature and inversion run as *batched* kernels over layer groups
-rather than per-layer Python loops; preconditioning runs per layer:
+Curvature and preconditioning run per layer; inversion runs as
+*batched* kernels over dimension groups:
 
-* **curvature** — layers sharing ``(d_in, d_out, bias)`` (all of BERT's
-  per-block linears, across blocks) are stacked ``(L, N, d)`` and their
-  factors formed by one batched matmul each; a lone layer still gets a
-  single concatenated ``rows.T @ rows``.
+* **curvature** — each layer's :meth:`KFACLayerState.update_curvature`
+  forms its factors as one concatenated ``rows.T @ rows`` each. The
+  matmuls are the whole cost, so stacking same-shape layers into one
+  batched matmul gains nothing, and its workspaces would outlive the
+  refresh.
 * **inversion** — factors are grouped by dimension and inverted as one
   float32 Cholesky batch per group, each layer's damping split by the
   Martens-Grosse pi rule (:func:`~repro.kfac.inverse.batched_pair_inverses`,
@@ -37,20 +38,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from repro.kfac.inverse import batched_pair_inverses
 from repro.kfac.layer import KFACLayerState
 from repro.nn.linear import Linear
 from repro.optim.base import Optimizer
-
-
-def _fill_stacked_rows(dest: np.ndarray, batches: list[np.ndarray]) -> None:
-    """Copy micro-batch rows into one row-span of a preallocated stack."""
-    pos = 0
-    for b in batches:
-        dest[pos:pos + b.shape[0]] = b
-        pos += b.shape[0]
 
 
 class KFAC:
@@ -118,26 +109,18 @@ class KFAC:
         self.skipped_layers = skipped
         if not self.layers:
             raise ValueError("no layers eligible for K-FAC")
-        #: Reusable per-group curvature workspaces (row stacks + factor
-        #: output buffers), keyed by group signature. Only kept when
-        #: stat_decay == 0: there the previous refresh's factor values are
-        #: dead the moment the new batch overwrites the shared buffers,
-        #: whereas the EMA path still reads them while blending.
-        self._curv_workspaces: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._reuse_curv_buffers = stat_decay == 0.0
 
     # -- individual work types (the paper's three K-FAC works) --------------------
 
     def update_curvature(self) -> None:
         """Curvature work: refresh A_l, B_l from rows captured since last pop.
 
-        Same-shape layers (with equal captured row counts) are stacked and
-        their factors formed by one batched matmul per factor side, writing
-        into per-group workspaces that persist across refreshes (the factor
-        stacks are hundreds of MB at BERT scale; re-faulting fresh pages
-        every refresh costs more than the matmuls).
+        Every layer's captures are popped and checked first, so a layer
+        without rows raises before any factor changes; then each layer's
+        :meth:`KFACLayerState.update_curvature` forms its factors, with the
+        loss scale its gradient row count (the training losses are means).
         """
-        groups: dict[tuple, list[tuple[KFACLayerState, list, list]]] = {}
+        captures = []
         for layer, state in self.layers:
             inputs, grads = layer.kfac_pop()
             if not inputs or not grads:
@@ -145,50 +128,10 @@ class KFAC:
                     f"layer {state.name}: no captured activations/gradients; "
                     "run forward+backward before update_curvature()"
                 )
-            n_in = sum(b.shape[0] for b in inputs)
+            captures.append((state, inputs, grads))
+        for state, inputs, grads in captures:
             n_g = sum(g.shape[0] for g in grads)
-            key = (state.din, state.dout, state.include_bias, n_in, n_g)
-            groups.setdefault(key, []).append((state, inputs, grads))
-
-        if self._curv_workspaces:
-            # Row counts are part of the key, so ragged batches (epoch-final
-            # or variable-length) would otherwise strand dead multi-hundred-MB
-            # stacks; keep only the workspaces this refresh actually uses.
-            for stale in [k for k in self._curv_workspaces if k not in groups]:
-                del self._curv_workspaces[stale]
-
-        for key, members in groups.items():
-            din, dout, include_bias, n_in, n_g = key
-            if len(members) == 1:
-                state, inputs, grads = members[0]
-                state.update_curvature(inputs, grads, loss_scale=float(n_g))
-                continue
-            n_layers = len(members)
-            a_dim = din + (1 if include_bias else 0)
-            ws = self._curv_workspaces.get(key)
-            if ws is None or ws[0].shape[0] != n_layers:
-                x = np.empty((n_layers, n_in, a_dim), dtype=np.float32)
-                if include_bias:
-                    x[:, :, din] = 1.0  # homogeneous column, written once
-                g = np.empty((n_layers, n_g, dout), dtype=np.float32)
-                a_out = np.empty((n_layers, a_dim, a_dim), dtype=np.float32)
-                b_out = np.empty((n_layers, dout, dout), dtype=np.float32)
-                ws = (x, g, a_out, b_out)
-                if self._reuse_curv_buffers:
-                    self._curv_workspaces[key] = ws
-            x, g, a_out, b_out = ws
-            for j, (_, inputs, grads) in enumerate(members):
-                _fill_stacked_rows(x[j, :, :din], inputs)
-                _fill_stacked_rows(g[j], grads)
-            np.matmul(np.transpose(x, (0, 2, 1)), x, out=a_out)
-            a_out *= np.float32(1.0 / max(n_in, 1))
-            np.matmul(np.transpose(g, (0, 2, 1)), g, out=b_out)
-            # loss_scale = n_g rescales grad rows to per-example error
-            # signals; folded into the factor as loss_scale^2 / n_g.
-            b_out *= np.float32(float(n_g) ** 2 / max(n_g, 1))
-            for j, (state, _, _) in enumerate(members):
-                state.a_factor.update(a_out[j], copy=False)
-                state.b_factor.update(b_out[j], copy=False)
+            state.update_curvature(inputs, grads, loss_scale=float(n_g))
 
     def discard_captures(self) -> None:
         """Drop captured rows without updating factors (non-refresh steps).

@@ -6,11 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kfac.factors import (
-    KroneckerFactor,
-    compute_factor_from_rows,
-    concat_row_batches,
-)
+from repro.kfac.factors import KroneckerFactor
 from repro.kfac.inverse import batched_pair_inverses
 
 
@@ -49,10 +45,16 @@ class KFACLayerState:
     ) -> None:
         """Refresh A and B from captured micro-batch rows.
 
-        Each factor is one concatenated ``rows.T @ rows`` matmul (see
-        :meth:`KroneckerFactor.accumulate_microbatches`); the loss scale is
-        folded into the B factor as ``loss_scale**2`` rather than by
-        rescaling every gradient row.
+        This is the one curvature kernel; :class:`~repro.kfac.KFAC` runs
+        it layer by layer. Each factor is one ``rows.T @ rows`` matmul
+        over the micro-batch rows concatenated (the mini-batch factor is
+        the factor of the row concatenation), which numpy forms with
+        ``syrk``, so the factor is exactly symmetric. The input rows are
+        copied into one owned float32 buffer whose homogeneous column,
+        when ``include_bias``, is written once. The loss scale is folded
+        into the B factor as ``loss_scale**2`` rather than by rescaling
+        every gradient row. Both factors are fresh arrays, so a factor
+        array a caller holds never changes.
 
         ``loss_scale`` converts mean-loss output gradients back to
         per-example error signals (multiply by the number of rows the mean
@@ -60,11 +62,20 @@ class KFACLayerState:
         """
         if not input_batches or not grad_batches:
             raise ValueError(f"layer {self.name}: no captured rows")
-        self.a_factor.accumulate_microbatches(input_batches, include_bias=self.include_bias)
-        grad_rows = concat_row_batches(grad_batches)
-        b_batch = compute_factor_from_rows(grad_rows)
-        b_batch = b_batch * np.float32(loss_scale) * np.float32(loss_scale)
-        self.b_factor.update(b_batch)
+        n_in = sum(b.shape[0] for b in input_batches)
+        x = np.empty((n_in, self.a_factor.dim), dtype=np.float32)
+        if self.include_bias:
+            x[:, self.din] = 1.0
+        np.concatenate(input_batches, out=x[:, :self.din])
+        a = x.T @ x
+        a /= np.float32(max(n_in, 1))
+        g = grad_batches[0] if len(grad_batches) == 1 else np.concatenate(grad_batches)
+        b = g.T @ g
+        b /= np.float32(max(g.shape[0], 1))
+        b *= np.float32(loss_scale)
+        b *= np.float32(loss_scale)
+        self.a_factor.update(a, copy=False)
+        self.b_factor.update(b, copy=False)
 
     # -- inversion work -----------------------------------------------------------
 

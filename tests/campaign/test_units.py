@@ -9,11 +9,19 @@ execution, so "executed once" is asserted on actual calls.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import pytest
 
 from repro.campaign import units as units_mod
-from repro.campaign.spec import UnitSpec
-from repro.campaign.units import UnitContext, execute_units, register_unit_kind
+from repro.campaign.spec import CampaignSpec, UnitSpec
+from repro.campaign.units import (
+    UnitContext,
+    execute_units,
+    register_unit_kind,
+    structure,
+    structure_key,
+)
 
 #: Fake-clock seconds one looped unit takes, and one whole group call.
 LOOP_S = 1.0
@@ -122,3 +130,33 @@ def test_a_failing_group_reruns_singly_and_raises_at_the_failing_unit(state):
                               ("single", 1), ("single", 2), ("single", 3)]
     # A re-run unit is timed on its own.
     assert [e for _, _, e in results] == [LOOP_S] * 3
+
+
+def test_structure_groups_units_as_their_structure_key_does():
+    """A campaign groups consecutive units on the unhashed ``structure``;
+    over the campaign-overhead grid that gives the same six runs as
+    ``structure_key``, over two structures."""
+    spec = CampaignSpec(
+        name="groups", title="hardware x depth x b_micro chimera grid",
+        kind="pipefisher",
+        fixed=(("arch", "BERT-Base"), ("n_micro_factor", 2),
+               ("schedule", "chimera")),
+        grid=(("hardware", ("P100", "V100", "RTX3090")),
+              ("depth", (8, 16)),
+              ("b_micro", (2, 4, 8, 16, 32, 64))),
+    )
+    units = spec.units()
+    for key in (structure, structure_key):
+        runs = [list(group) for _, group in groupby(units, key=key)]
+        assert [len(run) for run in runs] == [6] * 6
+    pairs = {(structure(u), structure_key(u)) for u in units}
+    assert len({s for s, _ in pairs}) == len({k for _, k in pairs}) == 2
+    assert len(pairs) == 2
+    # No timing params: the unit's own pair and key.
+    unit = UnitSpec.make("test_units_loop", i=1)
+    assert structure(unit) == (unit.kind, unit.params)
+    assert structure_key(unit) == unit.key
+    # Every param a timing param: one structure for every ``i``.
+    a, b = _units("test_units_group", (1, 2))
+    assert structure(a) == structure(b) == ("test_units_group", ())
+    assert structure_key(a) == structure_key(b) != a.key

@@ -162,7 +162,7 @@ def test_curvature_matches_seed_loop(include_bias, stat_decay, counts):
 
 @pytest.mark.parametrize("ragged", [False, True])
 def test_kfac_grouped_curvature_matches_seed(ragged):
-    """The KFAC-level grouped stacking matches the seed per-layer loop,
+    """``KFAC.update_curvature`` matches the seed per-layer loop,
     including when layers captured ragged (unequal) row totals."""
     rng = np.random.default_rng(11)
     m_new, m_seed = make_models(seed=3)
@@ -193,44 +193,54 @@ def test_kfac_grouped_curvature_matches_seed(ragged):
                                    **CURV_TOL)
 
 
-def test_grouped_same_shape_layers_match_per_layer_path():
-    """A group of same-shape layers (the batched-stack path) produces the
-    same factors as feeding each layer alone (the single-concat path)."""
+@pytest.mark.parametrize("include_bias", [False, True])
+@pytest.mark.parametrize("stat_decay", [0.0, 0.95])
+def test_grouped_same_shape_layers_match_per_layer_path(include_bias,
+                                                        stat_decay):
+    """Same-shape layers get exactly the factors of
+    feeding each layer alone through ``update_curvature``, over ragged
+    micro-batches and two refreshes (the second exercises the EMA)."""
     rng = np.random.default_rng(13)
+    layers = [Linear(6, 5, bias=include_bias, rng=np.random.default_rng(i))
+              for i in range(4)]
+    inner = SGD([p for l in layers for p in l.parameters()], lr=0.1)
+    kfac = KFAC([(f"l{i}", l) for i, l in enumerate(layers)], inner,
+                stat_decay=stat_decay)
+    solos = [KFACLayerState("solo", din=6, dout=5, include_bias=include_bias,
+                            stat_decay=stat_decay) for _ in layers]
+    for _ in range(2):
+        for l, solo in zip(layers, solos):
+            inputs = rand_batches(rng, [37, 29], 6)
+            grads = rand_batches(rng, [37, 29], 5, scale=0.1)
+            l.captured_inputs = [b.copy() for b in inputs]
+            l.captured_output_grads = [g.copy() for g in grads]
+            solo.update_curvature(inputs, grads, loss_scale=66.0)
+        kfac.update_curvature()
+        for (_, state), solo in zip(kfac.layers, solos):
+            assert np.array_equal(state.a_factor.value, solo.a_factor.value)
+            assert np.array_equal(state.b_factor.value, solo.b_factor.value)
+
+
+def test_held_factor_arrays_survive_the_next_refresh():
+    """A factor array a caller holds is not overwritten by the next
+    refresh: same-shape layers share no buffers between refreshes."""
+    rng = np.random.default_rng(17)
     layers = [Linear(6, 5, rng=np.random.default_rng(i)) for i in range(4)]
     inner = SGD([p for l in layers for p in l.parameters()], lr=0.1)
     kfac = KFAC([(f"l{i}", l) for i, l in enumerate(layers)], inner)
-    captured = []
-    for l in layers:
-        inputs = rand_batches(rng, [8, 8], 6)
-        grads = rand_batches(rng, [8, 8], 5, scale=0.1)
-        l.captured_inputs = [b.copy() for b in inputs]
-        l.captured_output_grads = [g.copy() for g in grads]
-        captured.append((inputs, grads))
-    kfac.update_curvature()
-    for (_, state), (inputs, grads) in zip(kfac.layers, captured):
-        solo = KFACLayerState("solo", din=6, dout=5)
-        solo.update_curvature(inputs, grads, loss_scale=16.0)
-        np.testing.assert_allclose(state.a_factor.value, solo.a_factor.value,
-                                   **CURV_TOL)
-        np.testing.assert_allclose(state.b_factor.value, solo.b_factor.value,
-                                   **CURV_TOL)
-
-
-def test_curvature_workspaces_pruned_on_row_count_change():
-    """Workspace keys include row totals; a ragged batch must evict the
-    stale key instead of stranding its (potentially huge) buffers."""
-    rng = np.random.default_rng(17)
-    layers = [Linear(6, 5, rng=np.random.default_rng(i)) for i in range(3)]
-    inner = SGD([p for l in layers for p in l.parameters()], lr=0.1)
-    kfac = KFAC([(f"l{i}", l) for i, l in enumerate(layers)], inner)
-    assert kfac._reuse_curv_buffers
-    for counts in ([8, 8], [4, 3], [8, 8]):  # ragged middle refresh
+    held = []
+    for refresh in range(2):
         for l in layers:
-            l.captured_inputs = rand_batches(rng, counts, 6)
-            l.captured_output_grads = rand_batches(rng, counts, 5, scale=0.1)
+            l.captured_inputs = rand_batches(rng, [8, 8], 6)
+            l.captured_output_grads = rand_batches(rng, [8, 8], 5, scale=0.1)
         kfac.update_curvature()
-        assert len(kfac._curv_workspaces) == 1
+        if refresh == 0:
+            held = [(s.a_factor.value, s.a_factor.value.copy(),
+                     s.b_factor.value, s.b_factor.value.copy())
+                    for _, s in kfac.layers]
+    for a, a_then, b, b_then in held:
+        assert np.array_equal(a, a_then)
+        assert np.array_equal(b, b_then)
 
 
 @pytest.mark.parametrize("stat_decay", [0.0, 0.95])

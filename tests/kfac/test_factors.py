@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kfac import KroneckerFactor, compute_factor_from_rows
+from repro.kfac import KFACLayerState, KroneckerFactor, compute_factor_from_rows
 
 
 class TestComputeFactor:
@@ -57,21 +57,6 @@ class TestKroneckerFactor:
         with pytest.raises(ValueError):
             kf.update(np.zeros((2, 2), dtype=np.float32))
 
-    def test_microbatch_accumulation_equals_full_batch(self):
-        """Row-weighted averaging over micro-batches == one big batch."""
-        rng = np.random.default_rng(2)
-        full = rng.standard_normal((12, 4)).astype(np.float32)
-        pieces = [full[:4], full[4:6], full[6:12]]
-        kf_full = KroneckerFactor(4)
-        kf_full.update_from_rows(full)
-        kf_micro = KroneckerFactor(4)
-        kf_micro.accumulate_microbatches(pieces)
-        np.testing.assert_allclose(kf_micro.value, kf_full.value, rtol=1e-5)
-
-    def test_accumulate_empty_raises(self):
-        with pytest.raises(ValueError):
-            KroneckerFactor(2).accumulate_microbatches([])
-
 
 @settings(max_examples=25, deadline=None)
 @given(
@@ -81,14 +66,22 @@ class TestKroneckerFactor:
     seed=st.integers(0, 999),
 )
 def test_microbatch_invariance_property(n, d, splits, seed):
-    """Property: any contiguous micro-batching yields the same factor."""
+    """Property: any contiguous micro-batching yields exactly the factors
+    of the whole batch, which match the one-batch reference."""
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((n, d)).astype(np.float32)
+    grads = rng.standard_normal((n, d + 1)).astype(np.float32)
     cuts = sorted(set(rng.integers(1, n, size=splits - 1).tolist())) if splits > 1 else []
-    pieces = np.split(rows, cuts) if cuts else [rows]
-    pieces = [p for p in pieces if p.shape[0] > 0]
-    a = KroneckerFactor(d)
-    a.update_from_rows(rows)
-    b = KroneckerFactor(d)
-    b.accumulate_microbatches(pieces)
-    np.testing.assert_allclose(b.value, a.value, rtol=1e-4, atol=1e-6)
+    whole = KFACLayerState("whole", din=d, dout=d + 1)
+    whole.update_curvature([rows], [grads], loss_scale=1.0)
+    micro = KFACLayerState("micro", din=d, dout=d + 1)
+    micro.update_curvature(np.split(rows, cuts), np.split(grads, cuts),
+                           loss_scale=1.0)
+    assert np.array_equal(micro.a_factor.value, whole.a_factor.value)
+    assert np.array_equal(micro.b_factor.value, whole.b_factor.value)
+    np.testing.assert_allclose(
+        whole.a_factor.value, compute_factor_from_rows(rows, include_bias=True),
+        rtol=1e-4, atol=1e-6)
+    np.testing.assert_allclose(
+        whole.b_factor.value, compute_factor_from_rows(grads),
+        rtol=1e-4, atol=1e-6)

@@ -53,12 +53,12 @@ def _cmd_run(args) -> int:
     shard = parse_shard(args.shard) if args.shard else (0, 1)
     if args.jobs is not None and args.jobs > 1:
         if args.shard:
-            print("error: --jobs cannot be combined with --shard "
-                  "(jobs shards internally)", file=sys.stderr)
+            print("error: --jobs cannot be combined with --shard",
+                  file=sys.stderr)
             return 2
         if not args.run_dir:
-            print("error: --jobs requires --run-dir (workers share state "
-                  "through the run DB)", file=sys.stderr)
+            print("error: --jobs requires --run-dir (the parent records "
+                  "the workers' units in the run DB)", file=sys.stderr)
             return 2
     runner = CampaignRunner(run_dir=args.run_dir)
 
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--no-resume", action="store_true",
                        help="re-execute units even if recorded done")
     p_run.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="run N worker processes over the run DB "
+                       help="execute units in N worker processes "
                             "(requires --run-dir; excludes --shard)")
     p_run.add_argument("-v", "--verbose", action="store_true",
                        help="one progress line per unit")

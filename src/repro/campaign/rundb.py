@@ -10,7 +10,7 @@ point hash.  Appending is the only write operation, so a killed worker
 leaves at most one truncated trailing line — which :meth:`RunDB.load`
 tolerates — and never corrupts completed records.  The *last* record per
 key wins, so a failed unit is retried by simply appending its successful
-record later.  Shard workers write separate run dirs merged with
+record later.  ``--shard i/n`` runs write separate run dirs merged with
 :func:`merge_run_dbs`.
 """
 
@@ -205,9 +205,11 @@ def merge_run_dbs(sources, dest) -> RunDB:
     """Merge shard run dirs into one DB (e.g. after ``--shard i/n`` runs).
 
     Completed records must not conflict: if two sources completed the
-    same unit key with different values, the merge aborts — shards of one
-    campaign are disjoint by construction, so a conflict means the
-    sources came from different code or different specs.
+    same unit key with different values, the merge aborts before it
+    writes anything — shards of one campaign are disjoint by
+    construction, so a conflict means the sources came from different
+    code or different specs.  The new records land with one
+    :meth:`RunDB.append_many`.
     """
     srcs = [RunDB.open(s) for s in sources]
     metas = [db.read_meta() for db in srcs]
@@ -217,11 +219,10 @@ def merge_run_dbs(sources, dest) -> RunDB:
         if m is not None and base_meta is not None and m != base_meta:
             raise CampaignValidationError(
                 "cannot merge run DBs from different campaigns/specs")
-    if base_meta is not None and out.read_meta() is None:
-        _write_meta(out.meta_path, base_meta)
+    merged, new = dict(out.records), []
     for db in srcs:
         for key, rec in db.records.items():
-            existing = out.records.get(key)
+            existing = merged.get(key)
             if (existing is not None and existing.get("status") == DONE
                     and rec.get("status") == DONE
                     and existing["value"] != rec["value"]):
@@ -229,5 +230,9 @@ def merge_run_dbs(sources, dest) -> RunDB:
                     f"merge conflict on unit {key}: sources recorded "
                     f"different values")
             if existing is None or existing.get("status") != DONE:
-                out.append(rec)
+                merged[key] = rec
+                new.append(rec)
+    if base_meta is not None and out.read_meta() is None:
+        _write_meta(out.meta_path, base_meta)
+    out.append_many(new)
     return out

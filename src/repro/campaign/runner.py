@@ -21,17 +21,18 @@ Each run of consecutive pending units that share a
 :func:`~repro.campaign.units.execute_units` group with one
 ``append_many``: a killed run loses at most that group, and a failing
 group leaves its finished units ``done``, the failing one ``failed``.
+Every group runs through :func:`execute_group`: in-process on the
+runner's engine, or with ``jobs=N`` in N worker processes whose results
+the parent alone records.
 """
 
 from __future__ import annotations
 
-import shutil
 import time
 from dataclasses import dataclass, field
 from itertools import groupby
-from pathlib import Path
 
-from repro.campaign.rundb import DONE, FAILED, RunDB, merge_run_dbs
+from repro.campaign.rundb import DONE, FAILED, RunDB
 from repro.campaign.spec import CampaignSpec, CampaignValidationError, UnitSpec
 from repro.campaign.units import UnitContext, execute_units, structure
 
@@ -104,7 +105,8 @@ class CampaignResult:
     spec: CampaignSpec
     #: key -> full record dict (executed this run or reused from the DB).
     records: dict = field(default_factory=dict)
-    #: key -> live result object (None for units reused from the run DB).
+    #: key -> live result object (None for units reused from the run DB
+    #: or executed in a ``jobs > 1`` worker).
     objects: dict = field(default_factory=dict)
     executed: list = field(default_factory=list)  #: keys run this time
     reused: list = field(default_factory=list)    #: keys served from the DB
@@ -167,149 +169,103 @@ class CampaignRunner:
         executor is recorded as ``failed`` in the run DB (so an
         interrupted campaign shows where it stopped) and re-raised.
 
-        ``jobs=N`` (persistent mode only) splits the campaign into N
-        round-robin shards, runs each in a worker process against its
-        own copy of the run DB, merges the worker DBs back, and resumes
-        serially to assemble the full result — the merged DB is
-        bit-identical to a single-worker run's.
+        ``jobs=N`` (persistent mode only) executes the pending groups
+        in N worker processes, each with its own engine; the parent
+        records their results in canonical order as the serial loop
+        does, so the run DB holds what a single-worker run's holds.
+        Worker-run units keep no live object.
         """
-        if jobs is not None and jobs > 1:
-            return self._run_jobs(spec, shard=shard, resume=resume,
-                                  on_unit=on_unit, jobs=jobs)
+        jobs = max(jobs or 1, 1)
+        if jobs > 1 and self.run_dir is None:
+            raise CampaignValidationError(
+                "jobs > 1 requires a run_dir (the parent records the "
+                "workers' units in the run DB)")
+        if jobs > 1 and shard != (0, 1):
+            raise CampaignValidationError(
+                "jobs cannot be combined with an explicit shard")
         db = RunDB.open(self.run_dir) if self.run_dir is not None else None
         if db is not None:
             db.bind(spec)
         result = CampaignResult(spec=spec)
-        # Nothing but the groups touches the engine, so each group's
-        # "before" snapshot is the previous group's "after".
-        before = before_all = _engine_counters(self.engine)
+        result.engine_delta = dict.fromkeys(_engine_counters(self.engine), 0)
         t0 = time.perf_counter()
 
         # Hash every unit up front: hashed between two engine runs, a key
         # costs ~5x its warm time (measured on a 2-vCPU host).  Pending
-        # units group on their unhashed structure; a reused unit is a
-        # group of its own.
+        # units group on their unhashed structure, split into chunks of
+        # at most ceil(pending / jobs) units; a reused unit is a group of
+        # its own.
         rows = []
         for unit, index in shard_units(spec.units(), shard):
             key = unit.key
             prior = db.done(key) if db is not None and resume else None
             tag = (False, key) if prior else (True, structure(unit))
             rows.append((unit, index, prior, tag))
+        n_pending = sum(1 for row in rows if row[3][0])
+        size = max(1, -(-n_pending // jobs))
+        groups = []
         for (pending, _), group in groupby(rows, key=lambda row: row[3]):
-            if pending:
-                before = self._run_group(spec, shard, list(group), db, result,
-                                         on_unit, before)
-                continue
-            unit, _, prior, _ = next(group)
-            result.records[unit.key] = prior
-            result.objects[unit.key] = None
-            result.reused.append(unit.key)
-            if on_unit is not None:
-                on_unit(unit, prior, True)
+            group = list(group)
+            groups += [(pending, group[i:i + size])
+                       for i in range(0, len(group), size)]
+        chunks = [[row[0] for row in group]
+                  for pending, group in groups if pending]
 
-        result.elapsed_s = time.perf_counter() - t0
-        result.engine_delta = _counter_delta(
-            before_all, _engine_counters(self.engine))
-        return result
+        pool = None
+        if jobs > 1 and chunks:
+            from concurrent.futures import ProcessPoolExecutor
 
-    def _run_group(self, spec: CampaignSpec, shard: tuple, rows: list, db,
-                   result: CampaignResult, on_unit, before: dict) -> dict:
-        """Execute and record one structure group (also when it raises);
-        the engine counters after it."""
-        outcomes, error = [], None
-        started = time.perf_counter()
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)),
+                                       initializer=_init_worker)
+            executed = pool.map(_execute_in_worker, chunks)
+        else:
+            executed = (execute_group(units, self.engine) for units in chunks)
         try:
-            for outcome in execute_units([row[0] for row in rows],
-                                         UnitContext(engine=self.engine)):
-                outcomes.append(outcome)
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            outcomes.append((None, None, time.perf_counter() - started
-                             - sum(o[2] for o in outcomes)))
-            raise
-        finally:
-            after = _engine_counters(self.engine)
-            shares = _split_delta(_counter_delta(before, after), len(outcomes))
-            records = [
-                self._record(spec, unit, index, shard, value, elapsed, share)
-                for (unit, index, _, _), (_, value, elapsed), share
-                in zip(rows, outcomes, shares)]
-            if error is not None:
-                records[-1].update(status=FAILED, error=error)
-            if db is not None:
-                db.append_many(records)
-            done = len(records) - (error is not None)
-            for (unit, _, _, _), (obj, _, _), record in zip(
-                    rows[:done], outcomes, records):
-                result.records[unit.key] = record
-                result.objects[unit.key] = obj
-                result.executed.append(unit.key)
+            for pending, group in groups:
+                if pending:
+                    self._record_group(spec, shard, group, *next(executed),
+                                       db, result, on_unit)
+                    continue
+                unit, _, prior, _ = group[0]
+                result.records[unit.key] = prior
+                result.objects[unit.key] = None
+                result.reused.append(unit.key)
                 if on_unit is not None:
-                    on_unit(unit, record, False)
-        return after
+                    on_unit(unit, prior, True)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
-    def _run_jobs(self, spec: CampaignSpec, shard: tuple, resume: bool,
-                  on_unit, jobs: int) -> CampaignResult:
-        """Fan a persistent campaign out over ``jobs`` worker processes.
-
-        Each worker runs one round-robin shard against a private run-DB
-        copy seeded with the parent's completed units (so resume skips
-        them); the parent merges the worker DBs back and replays the
-        campaign serially from the merged DB to build the result.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        if self.run_dir is None:
-            raise CampaignValidationError(
-                "jobs > 1 requires a run_dir (workers share state "
-                "through the run DB)")
-        if shard != (0, 1):
-            raise CampaignValidationError(
-                "jobs cannot be combined with an explicit shard")
-        t0 = time.perf_counter()
-        parent = Path(self.run_dir)
-        db = RunDB.open(parent)
-        db.bind(spec)
-        worker_dirs = []
-        for i in range(jobs):
-            wd = parent / f"worker-{i + 1}"
-            wd.mkdir(parents=True, exist_ok=True)
-            for name in ("units.jsonl", "meta.json"):
-                src = parent / name
-                if src.exists():
-                    shutil.copyfile(src, wd / name)
-                elif (wd / name).exists():
-                    (wd / name).unlink()
-            worker_dirs.append(wd)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_shard_worker, spec, (i, jobs), str(wd), resume)
-                for i, wd in enumerate(worker_dirs)
-            ]
-            outcomes = [f.result() for f in futures]
-        merge_run_dbs([str(wd) for wd in worker_dirs], str(parent))
-
-        executed = [key for keys, _ in outcomes for key in keys]
-        executed_set = set(executed)
-
-        def replayed(unit, record, reused):
-            on_unit(unit, record, record["key"] not in executed_set)
-
-        # Serial resume over the merged DB: every unit is now done, so
-        # this pass only assembles records (and fires on_unit, flagging
-        # the units the workers ran as executed) in canonical order
-        # without re-executing anything.
-        result = self.run(spec, resume=True,
-                          on_unit=replayed if on_unit is not None else None)
-        result.executed = executed
-        result.reused = [k for k in result.reused if k not in executed_set]
-        delta = dict(result.engine_delta)
-        for _, worker_delta in outcomes:
-            for k, v in worker_delta.items():
-                delta[k] = delta.get(k, 0) + v
-        result.engine_delta = delta
         result.elapsed_s = time.perf_counter() - t0
         return result
+
+    def _record_group(self, spec: CampaignSpec, shard: tuple, rows: list,
+                      outcomes: list, delta: dict, error, db,
+                      result: CampaignResult, on_unit) -> None:
+        """Record one executed structure group with one ``append_many``;
+        re-raise ``error`` once its failed unit is recorded."""
+        shares = _split_delta(delta, len(outcomes))
+        records = [
+            self._record(spec, unit, index, shard, value, elapsed, share)
+            for (unit, index, _, _), (_, value, elapsed), share
+            in zip(rows, outcomes, shares)]
+        if error is not None:
+            records[-1].update(status=FAILED,
+                               error=f"{type(error).__name__}: {error}")
+        if db is not None:
+            db.append_many(records)
+        for k, v in delta.items():
+            result.engine_delta[k] += v
+        done = len(records) - (error is not None)
+        for (unit, _, _, _), (obj, _, _), record in zip(
+                rows[:done], outcomes, records):
+            result.records[unit.key] = record
+            result.objects[unit.key] = obj
+            result.executed.append(unit.key)
+            if on_unit is not None:
+                on_unit(unit, record, False)
+        if error is not None:
+            raise error
 
     @staticmethod
     def _record(spec: CampaignSpec, unit: UnitSpec, index: int, shard: tuple,
@@ -328,23 +284,54 @@ class CampaignRunner:
         }
 
 
-def _shard_worker(spec: CampaignSpec, shard: tuple, run_dir: str,
-                  resume: bool) -> tuple:
-    """Run one shard of ``spec`` in a worker process.
+def execute_group(units: list, engine) -> tuple:
+    """Run ``units`` through :func:`execute_units` with ``engine``.
 
-    Module-level so the pool pickles it by reference.  Returns the
-    executed unit keys plus the engine-counter delta this shard caused,
-    for the parent to fold into the merged result.
+    Returns ``(outcomes, engine-counter delta, exception or None)``.
+    When a unit raises, the outcomes end with its ``(None, None,
+    elapsed_s)`` after every unit finished before it.
+    """
+    outcomes, error = [], None
+    before = _engine_counters(engine)
+    started = time.perf_counter()
+    try:
+        for outcome in execute_units(units, UnitContext(engine=engine)):
+            outcomes.append(outcome)
+    except Exception as exc:
+        error = exc
+        outcomes.append((None, None, time.perf_counter() - started
+                         - sum(o[2] for o in outcomes)))
+    return outcomes, _counter_delta(before, _engine_counters(engine)), error
+
+
+#: The sweep engine of a ``jobs > 1`` worker process.
+_WORKER_ENGINE = None
+
+
+def _init_worker() -> None:
+    """Give a worker process the full unit-kind registry and an engine.
 
     A fresh subprocess only has the generic unit kinds registered at
     import time; specs carrying experiment kinds (``stochastic``,
-    ``fig8_lr``, ...) need the full registry, so load it here exactly
-    like the parent process does.
+    ``fig8_lr``, ...) need the full registry.
     """
+    global _WORKER_ENGINE
     from repro.campaign.registry import load_builtin_campaigns
     from repro.sweep.engine import SweepEngine
 
     load_builtin_campaigns()
-    runner = CampaignRunner(engine=SweepEngine(), run_dir=run_dir)
-    result = runner.run(spec, shard=shard, resume=resume)
-    return result.executed, result.engine_delta
+    _WORKER_ENGINE = SweepEngine()
+
+
+def _execute_in_worker(units: list) -> tuple:
+    """:func:`execute_group` on the worker's engine, minus the live
+    objects (the parent keeps none for units a worker ran)."""
+    from concurrent.futures.process import _ExceptionWithTraceback
+
+    outcomes, delta, error = execute_group(units, _WORKER_ENGINE)
+    if error is not None:
+        # Unpickles with the worker's traceback as its __cause__, as the
+        # exception of a failed pool task does.
+        error = _ExceptionWithTraceback(error, error.__traceback__)
+    return [(None, value, elapsed) for _, value, elapsed in outcomes], \
+        delta, error

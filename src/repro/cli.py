@@ -169,7 +169,7 @@ def _serve(argv: list[str]) -> int:
                         help="grids up to this many units answer inline; "
                              "bigger grids become jobs")
     parser.add_argument("--worker-jobs", type=int, default=1,
-                        help="process shards per queued job (needs "
+                        help="worker processes per queued job (needs "
                              "--state-dir; 1 = in-process)")
     parser.add_argument("--budget", type=int, default=None,
                         help="total unit budget; requests that would exceed "

@@ -444,7 +444,7 @@ class PlanningService:
 
         Persistent services run the grid as a real campaign — a
         :class:`CampaignRunner` over ``<state>/jobs/<id>``, with
-        ``worker_jobs`` process shards when configured — pre-seeded from
+        ``worker_jobs`` worker processes when configured — pre-seeded from
         the result store so repeat units cost nothing.  In-memory
         services reuse the inline execution path.  Either way every unit
         done reaches the store, a failing job included, and when the job

@@ -7,7 +7,7 @@ answers instantly), persisted to an append-only ``jobs/units.jsonl``
 ledger in the run-DB format (one status-transition record per line,
 last record wins), and executed by a background worker.  The worker is
 a :class:`~repro.campaign.runner.CampaignRunner` over a per-job run
-dir — optionally fanned out with ``jobs=N`` process shards — so job
+dir — optionally fanned out over ``jobs=N`` worker processes — so job
 results are ordinary campaign records, keyed by the same canonical
 point hash the result store serves.
 

@@ -1,11 +1,12 @@
-"""Parallel campaign execution: ``jobs=N`` workers over one run DB.
+"""Parallel campaign execution: ``jobs=N`` workers, one run-DB writer.
 
-The contract mirrors sharding: N workers each run a disjoint shard in a
-private DB copy, the parent merges and replays — the merged run DB's
-values must equal a single-worker run's exactly, and resuming a jobs
-run must execute nothing.  Uses the registered ``zb`` campaign (a real
-engine-backed grid) because unit kinds registered inside a test module
-don't exist in worker processes.
+N worker processes execute the campaign's structure groups and the
+parent records their results in canonical order, as the serial loop
+does: the run DB's values must equal a single-worker run's exactly, a
+failing run must record the same done and failed units, and resuming a
+jobs run must execute nothing.  Uses registered kinds (the ``zb``
+campaign, a real engine-backed grid) because unit kinds registered
+inside a test module don't exist in worker processes.
 """
 
 import json
@@ -16,7 +17,8 @@ from repro.campaign.cli import main as campaign_main
 from repro.campaign.registry import get_campaign
 from repro.campaign.rundb import RunDB
 from repro.campaign.runner import CampaignRunner
-from repro.campaign.spec import CampaignValidationError
+from repro.campaign.spec import CampaignSpec, CampaignValidationError, UnitSpec
+from repro.sweep.engine import SweepEngine
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +34,12 @@ def test_jobs_run_matches_single_worker(spec, tmp_path):
     assert jobs.values() == single.values()
     assert (RunDB.open(tmp_path / "jobs").values()
             == RunDB.open(tmp_path / "single").values())
-    # Worker shards left behind for post-mortem must also be valid DBs.
-    for i in (1, 2):
-        wd = tmp_path / "jobs" / f"worker-{i}"
-        assert (wd / "units.jsonl").exists()
+    # The parent is the only writer: no per-worker run dirs, and one
+    # record per unit in its own DB.
+    assert not list((tmp_path / "jobs").glob("worker-*"))
+    lines = (tmp_path / "jobs" / "units.jsonl").read_text().splitlines()
+    assert sorted(json.loads(line)["key"] for line in lines) == \
+        sorted(u.key for u in spec.units())
 
 
 def test_jobs_resume_executes_zero(spec, tmp_path):
@@ -44,6 +48,53 @@ def test_jobs_resume_executes_zero(spec, tmp_path):
     again = CampaignRunner(run_dir=run_dir).run(spec, jobs=2)
     assert not again.executed
     assert len(again.reused) == len(spec.units())
+
+
+def _failing_spec() -> CampaignSpec:
+    """6 good ``pipefisher`` units in 2 structures, then one its params
+    reject (``n_micro`` and ``n_micro_factor`` both given)."""
+    point = dict(arch="BERT-Base", hardware="P100", schedule="1f1b")
+    good = [UnitSpec.make("pipefisher", depth=depth, b_micro=b_micro,
+                          n_micro_factor=2, **point)
+            for depth in (4, 8) for b_micro in (2, 4, 8)]
+    bad = UnitSpec.make("pipefisher", depth=4, b_micro=2, n_micro=8,
+                        n_micro_factor=2, **point)
+    return CampaignSpec(name="jobs_failure", title="six good, one bad",
+                        explicit_units=tuple(good) + (bad,))
+
+
+def test_failing_jobs_run_records_what_a_serial_run_does(tmp_path):
+    failing = _failing_spec()
+    counts = {}
+    for mode, jobs in (("serial", None), ("jobs", 2)):
+        with pytest.raises(ValueError, match="n_micro or n_micro_factor"):
+            CampaignRunner(run_dir=tmp_path / mode).run(failing, jobs=jobs)
+        counts[mode] = RunDB.open(tmp_path / mode).status_counts()
+    assert counts["jobs"] == counts["serial"] == {"done": 6, "failed": 1}
+    assert (RunDB.open(tmp_path / "jobs").values()
+            == RunDB.open(tmp_path / "serial").values())
+
+    engine = SweepEngine()
+    with pytest.raises(ValueError, match="n_micro or n_micro_factor"):
+        CampaignRunner(engine=engine, run_dir=tmp_path / "jobs").run(failing)
+    assert engine.stats()["runs"] == 0, "resume re-executed a done unit"
+
+
+def test_jobs_compile_each_structure_once(tmp_path):
+    """Each structure group goes to one worker whole, so the 5
+    templates of the 40-unit robustness campaign are built once each."""
+    robustness = get_campaign("robustness").spec
+    assert len(robustness.units()) == 40
+    result = CampaignRunner(run_dir=tmp_path / "run").run(robustness, jobs=2)
+    assert len(result.executed) == 40
+    assert result.engine_delta["templates_misses"] == 5
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_two_run_serially(spec, jobs):
+    result = CampaignRunner().run(spec, jobs=jobs)
+    assert len(result.executed) == len(spec.units())
+    assert None not in result.object_list()
 
 
 def test_jobs_requires_run_dir(spec):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.rundb import DONE, RunDB, merge_run_dbs
+from repro.campaign.rundb import DONE, FAILED, RunDB, merge_run_dbs
 from repro.campaign.spec import CampaignSpec, CampaignValidationError
 
 
@@ -89,10 +89,33 @@ def test_merge_disjoint_sources(tmp_path):
 def test_merge_conflict_aborts(tmp_path):
     for i, value in enumerate((1, 2)):
         db = RunDB.open(tmp_path / f"src{i}")
+        db.bind(_spec())
+        if i == 0:
+            db.append(_rec("k0", 0))  # merged cleanly before the conflict
         db.append(_rec("k1", value))
     with pytest.raises(CampaignValidationError, match="merge conflict"):
         merge_run_dbs([tmp_path / "src0", tmp_path / "src1"],
                       tmp_path / "merged")
+    # Every check runs before the first write: no partial merge.
+    assert list((tmp_path / "merged").iterdir()) == []
+
+
+def test_merge_writes_the_bytes_of_one_append_per_record(tmp_path):
+    failed = _rec("k1", None, status=FAILED)
+    sources = {"src0": [failed, _rec("k2", 2)],
+               "src1": [_rec("k1", 1), _rec("k3", 3)]}
+    for name, records in sources.items():
+        RunDB.open(tmp_path / name).append_many(records)
+    RunDB.open(tmp_path / "merged").append(_rec("k4", 4))
+    reference = RunDB.open(tmp_path / "reference")
+    for rec in [_rec("k4", 4), failed, _rec("k2", 2), _rec("k1", 1),
+                _rec("k3", 3)]:
+        reference.append(rec)
+
+    out = merge_run_dbs([tmp_path / "src0", tmp_path / "src1"],
+                        tmp_path / "merged")
+    assert out.units_path.read_bytes() == reference.units_path.read_bytes()
+    assert out.values() == {"k1": 1, "k2": 2, "k3": 3, "k4": 4}
 
 
 def test_merge_rejects_mixed_campaigns(tmp_path):
